@@ -20,6 +20,12 @@ cargo test --workspace -q
 echo "==> cargo test (property tests)"
 cargo test -q --features property-tests --test proptest_pipeline
 
+echo "==> cargo test (benchmark package)"
+# perfbench is its own package (an empty [workspace]) with path deps on
+# crates/*, so the workspace test run never compiles it: an API change
+# that breaks the benchmark would otherwise go unnoticed.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> bench-smoke (snapshot + noise-aware regression gate)"
 # Fresh snapshots against the committed baselines. The modeled VM is
 # deterministic, so a loose +/-25% gate only trips on real metric
@@ -70,6 +76,7 @@ target/release/oic fuzz --runs 64 --seed 97
 # every inline-object invariant during the inlined runs; any finding is
 # an oracle rejection and fails the session.
 target/release/oic fuzz --runs 64 --seed 1 --checked
+target/release/oic fuzz --runs 64 --seed 97 --checked
 
 echo "==> chaos-smoke (fault-injection matrix vs the detection lattice)"
 # Injects every fault class from the systematic matrix into the sentinel

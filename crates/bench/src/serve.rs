@@ -677,7 +677,9 @@ impl Server {
         }
         // The analyze share of the ladder comes from the tracer's phase
         // aggregation (the pipeline's own `pipeline.analyze` spans), so
-        // the histogram agrees with `--json` phase tables to the µs.
+        // the histogram agrees with `--json` phase tables to the µs. With
+        // no tracer installed there is nothing to read, and no sample is
+        // recorded rather than a zero.
         let analyze_before = analyze_total_us();
         let (outcome, optimize) = {
             let _s = trace::span_with("serve.optimize", vec![kv("request_id", id_label(id))]);
@@ -685,10 +687,10 @@ impl Server {
         };
         self.metrics
             .observe_ns("serve.optimize_ns", optimize.median);
-        self.metrics.observe_ns(
-            "serve.analyze_ns",
-            (analyze_total_us() - analyze_before) * 1_000,
-        );
+        if let (Some(before), Some(after)) = (analyze_before, analyze_total_us()) {
+            self.metrics
+                .observe_ns("serve.analyze_ns", (after - before) * 1_000);
+        }
         self.metrics
             .add(&format!("serve.tier.{}", outcome.tier_name()), 1);
         if outcome.optimized.report.degraded {
@@ -825,9 +827,9 @@ impl Drop for Server {
 }
 
 /// The `pipeline.analyze` phase total (µs) aggregated by the installed
-/// tracer, or zero when no tracer is installed.
-fn analyze_total_us() -> u128 {
-    trace::current().map_or(0, |t| {
+/// tracer, or `None` when no tracer is installed.
+fn analyze_total_us() -> Option<u128> {
+    trace::current().map(|t| {
         t.phase_profile()
             .iter()
             .find(|(name, _)| name == "pipeline.analyze")
@@ -2066,6 +2068,29 @@ mod tests {
         assert_eq!(server.metrics().gauge("serve.in_flight"), 0);
     }
 
+    /// The `count` of a histogram in an `oi.metrics.v1` stats payload.
+    fn histogram_count(payload: &Json, name: &str) -> Option<i64> {
+        payload
+            .get("histograms")
+            .and_then(|h| h.get(name))
+            .and_then(|h| h.get("count"))
+            .and_then(Json::as_i64)
+    }
+
+    #[test]
+    fn tracerless_server_records_no_analyze_samples() {
+        let server = Server::new(ServeConfig::default());
+        server.handle_line(&request(1, "compile", Some(SOURCE)));
+        let handled = server.handle_line(&request(2, "stats", None));
+        let payload = handled.response.get("payload").expect("payload");
+        assert_eq!(histogram_count(payload, "serve.optimize_ns"), Some(1));
+        assert_eq!(
+            histogram_count(payload, "serve.analyze_ns"),
+            None,
+            "without a tracer there is no analyze time to record"
+        );
+    }
+
     #[test]
     fn failure_modes_are_ok_false_responses() {
         let server = Server::new(ServeConfig::default());
@@ -2153,6 +2178,9 @@ mod tests {
             span_with_id("serve.optimize"),
             "optimize span carries the id"
         );
+        let stats = server.handle_line(&request(43, "stats", None));
+        let payload = stats.response.get("payload").expect("payload");
+        assert_eq!(histogram_count(payload, "serve.analyze_ns"), Some(1));
     }
 
     #[test]

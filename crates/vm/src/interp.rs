@@ -1140,8 +1140,7 @@ impl<'p> Vm<'p> {
                 self.profile_access(c, field, false, true, hit);
                 self.heap.get_mut(o).slots[slot] = value;
                 if let Some(san) = &mut self.sanitizer {
-                    let len = self.heap.get(o).slots.len();
-                    san.on_direct_write(o, slot, len);
+                    san.on_direct_write(&self.heap, o, slot);
                 }
                 Ok(())
             }

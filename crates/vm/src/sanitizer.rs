@@ -47,11 +47,10 @@
 //! or the heap itself, so a clean checked run reports byte-identical
 //! metrics to an unchecked run; only wall-clock overhead differs.
 
-use crate::heap::{Heap, ObjKind};
+use crate::heap::{Heap, HeapObject, ObjKind, WORD};
 use crate::interp::{Repr, ResolvedLayout};
 use crate::value::ObjId;
 use oi_ir::{ArrayLayoutKind, ClassId, MethodId, Program};
-use std::collections::{HashMap, HashSet};
 
 /// How much checking the interpreter performs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -220,6 +219,15 @@ impl SanitizerReport {
     }
 }
 
+/// Shadow flag: the slot was stored to through any path.
+const WRITTEN: u8 = 1;
+/// Shadow flag: the slot is covered by a child constructor that began on
+/// an interior receiver (fields the constructor chose not to set are legal
+/// `nil`, not poison).
+const CONSTRUCTED: u8 = 2;
+/// End of a region chain.
+const NO_ENTRY: u32 = u32::MAX;
+
 /// An established inline region on one container object.
 struct Region {
     /// Resolved layout id (index into the VM's layout table).
@@ -228,29 +236,146 @@ struct Region {
     index: u32,
     /// Child class the region claims.
     child_class: ClassId,
-    /// Sorted container slots the region covers.
-    slots: Vec<usize>,
+    /// The region's sorted container slots: `Regions::slots[start..end]`.
+    start: u32,
+    end: u32,
 }
 
-/// Shadow state for one container object (`Full` only).
-#[derive(Default)]
-struct Shadow {
-    /// Slot was stored to through any path.
-    written: Vec<bool>,
-    /// Slot is covered by a child constructor that ran to completion on an
-    /// interior receiver (fields the constructor chose not to set are
-    /// legal `nil`, not poison).
-    constructed: Vec<bool>,
+/// The regions established on one container object (`Full` only), with an
+/// index from each container slot to the regions covering it.
+///
+/// Every region's slots live back to back in one arena, so establishing a
+/// region allocates nothing of its own. Each arena entry also links to the
+/// next older entry for the same slot: following `heads[slot]` walks the
+/// regions covering `slot`, newest first. Nested inlining can cover one slot
+/// with several regions, so a slot has a chain rather than one owner.
+struct Regions {
     /// Established regions, in establishment order.
-    regions: Vec<Region>,
+    list: Vec<Region>,
+    /// Every region's sorted slots, back to back.
+    slots: Vec<usize>,
+    /// Parallel to `slots`: the owning region and the next older entry
+    /// for the same slot (`NO_ENTRY` ends the chain).
+    links: Vec<(u32, u32)>,
+    /// Per container slot: the newest entry covering it, or `NO_ENTRY`.
+    heads: Vec<u32>,
+    /// Regions that no chain reaches in full: those with a slot outside
+    /// the container, or with no slot at all. Checked on every
+    /// establishment and by lookups whose lowest slot has no chain.
+    detached: Vec<u32>,
 }
 
-impl Shadow {
-    fn ensure(&mut self, len: usize) {
-        if self.written.len() < len {
-            self.written.resize(len, false);
-            self.constructed.resize(len, false);
+impl Regions {
+    fn new(slot_count: usize) -> Self {
+        Self {
+            list: Vec::new(),
+            slots: Vec::new(),
+            links: Vec::new(),
+            heads: vec![NO_ENTRY; slot_count],
+            detached: Vec::new(),
         }
+    }
+
+    fn slots_of(&self, r: u32) -> &[usize] {
+        let region = &self.list[r as usize];
+        &self.slots[region.start as usize..region.end as usize]
+    }
+
+    fn is(&self, r: u32, layout: u32, index: u32) -> bool {
+        let region = &self.list[r as usize];
+        region.layout == layout && region.index == index
+    }
+
+    /// The regions covering `slot`, newest first (a region listing `slot`
+    /// twice appears twice).
+    fn covering(&self, slot: usize) -> impl Iterator<Item = u32> + '_ {
+        let mut e = self.heads.get(slot).copied().unwrap_or(NO_ENTRY);
+        std::iter::from_fn(move || {
+            (e != NO_ENTRY).then(|| {
+                let (r, next) = self.links[e as usize];
+                e = next;
+                r
+            })
+        })
+    }
+
+    /// The region established for `(layout, index)` if it covers `slot`.
+    fn find_at(&self, slot: usize, layout: u32, index: u32) -> Option<u32> {
+        self.covering(slot).find(|&r| self.is(r, layout, index))
+    }
+
+    /// The region established for `(layout, index)`, whose lowest slot is
+    /// `lowest` (`None` for a region without slots).
+    fn find(&self, lowest: Option<usize>, layout: u32, index: u32) -> Option<u32> {
+        match lowest {
+            Some(s) if s < self.heads.len() => self.find_at(s, layout, index),
+            _ => self
+                .detached
+                .iter()
+                .copied()
+                .find(|&r| self.is(r, layout, index)),
+        }
+    }
+
+    /// Appends a region covering `slots` and links it into the index.
+    fn push(
+        &mut self,
+        layout: u32,
+        index: u32,
+        child_class: ClassId,
+        slots: impl Iterator<Item = usize>,
+    ) -> u32 {
+        // Below `NO_ENTRY`, so no entry or region id can be mistaken for it.
+        let narrow = |n: usize| {
+            u32::try_from(n)
+                .ok()
+                .filter(|&n| n != NO_ENTRY)
+                .expect("a container holds fewer than 2^32 - 1 regions and region slots")
+        };
+        let id = narrow(self.list.len());
+        let start = narrow(self.slots.len());
+        self.slots.extend(slots);
+        self.slots[start as usize..].sort_unstable();
+        let end = narrow(self.slots.len());
+        let mut detached = start == end;
+        for e in start..end {
+            let s = self.slots[e as usize];
+            match self.heads.get_mut(s) {
+                Some(head) => {
+                    self.links.push((id, *head));
+                    *head = e;
+                }
+                None => {
+                    self.links.push((id, NO_ENTRY));
+                    detached = true;
+                }
+            }
+        }
+        if detached {
+            self.detached.push(id);
+        }
+        self.list.push(Region {
+            layout,
+            index,
+            child_class,
+            start,
+            end,
+        });
+        id
+    }
+
+    /// Fills `out` with the regions established before `r` that may share
+    /// a slot with it, in establishment order: everything on the chains of
+    /// `r`'s slots plus every detached region. Every region that does share
+    /// a slot is included.
+    fn earlier_candidates(&self, r: u32, out: &mut Vec<u32>) {
+        out.clear();
+        for &s in self.slots_of(r) {
+            out.extend(self.covering(s).filter(|&c| c != r));
+        }
+        out.extend(self.detached.iter().copied().filter(|&c| c != r));
+        out.sort_unstable();
+        out.dedup();
     }
 }
 
@@ -260,11 +385,18 @@ pub struct Sanitizer {
     findings: Vec<Finding>,
     total_findings: u64,
     checks: u64,
-    /// Layout validations already performed, keyed by
+    /// Layout validations already performed, one flag per
     /// `(resolved layout id, container key)` — container key is the class
-    /// index for instances, `u64::MAX` for inline arrays.
-    validated: HashSet<(u32, u64)>,
-    shadows: HashMap<ObjId, Shadow>,
+    /// index for instances, the class count for inline arrays.
+    validated: Vec<bool>,
+    /// `WRITTEN | CONSTRUCTED` per heap word, indexed by slot address
+    /// divided by [`WORD`] (`Full` only; grown on demand).
+    flags: Vec<u8>,
+    /// Established regions per container, indexed densely by [`ObjId`]
+    /// (`Full` only).
+    regions: Vec<Option<Box<Regions>>>,
+    /// Reused buffer for establishment's conflict candidates.
+    candidates: Vec<u32>,
 }
 
 impl Sanitizer {
@@ -275,8 +407,10 @@ impl Sanitizer {
             findings: Vec::new(),
             total_findings: 0,
             checks: 0,
-            validated: HashSet::new(),
-            shadows: HashMap::new(),
+            validated: Vec::new(),
+            flags: Vec::new(),
+            regions: Vec::new(),
+            candidates: Vec::new(),
         })
     }
 
@@ -319,28 +453,25 @@ impl Sanitizer {
         });
     }
 
-    /// Container slots covered by `(layout, index)`, sorted.
-    /// `elem_len` is the element count for inline-array containers (0 for
-    /// object containers).
-    fn region_slots(
-        layouts: &[ResolvedLayout],
-        layout: u32,
-        index: u32,
-        elem_len: usize,
-    ) -> Vec<usize> {
-        let resolved = &layouts[layout as usize];
-        let mut slots: Vec<usize> = match &resolved.repr {
-            Repr::Object { slots } => slots.clone(),
-            Repr::Array { kind, width, map } => map
-                .iter()
-                .map(|&m| match kind {
-                    ArrayLayoutKind::Interleaved => index as usize * *width + m,
-                    ArrayLayoutKind::Parallel => m * elem_len + index as usize,
-                })
-                .collect(),
-        };
-        slots.sort_unstable();
-        slots
+    /// `true` the first time `layout` is validated against a container of
+    /// class `class` (`None`: an inline array).
+    fn first_validation(&mut self, program: &Program, layout: u32, class: Option<ClassId>) -> bool {
+        let keys = program.classes.len() + 1;
+        let key = layout as usize * keys + class.map_or(keys - 1, ClassId::index);
+        if key >= self.validated.len() {
+            self.validated.resize(key + 1, false);
+        }
+        !std::mem::replace(&mut self.validated[key], true)
+    }
+
+    /// The shadow flags of `slot` of `container`, growing the table as the
+    /// heap grows.
+    fn flags_mut(&mut self, container: &HeapObject, slot: usize) -> &mut u8 {
+        let word = (container.slot_addr(slot) / WORD) as usize;
+        if word >= self.flags.len() {
+            self.flags.resize(word + 1, 0);
+        }
+        &mut self.flags[word]
     }
 
     /// Validates the establishment of an interior reference
@@ -367,9 +498,7 @@ impl Sanitizer {
         let kind = container.kind;
         match (&resolved.repr, kind) {
             (Repr::Object { slots }, ObjKind::Instance(class)) => {
-                let key = (layout, class.index() as u64);
-                if !self.validated.contains(&key) {
-                    self.validated.insert(key);
+                if self.first_validation(program, layout, Some(class)) {
                     self.validate_object_region(
                         program,
                         method,
@@ -383,22 +512,16 @@ impl Sanitizer {
                 }
             }
             (Repr::Array { width, map, .. }, ObjKind::ArrayInline { len, .. }) => {
-                let key = (layout, u64::MAX);
-                if !self.validated.contains(&key) {
-                    self.validated.insert(key);
+                if self.first_validation(program, layout, None) {
                     for (j, &m) in map.iter().enumerate() {
                         if m >= *width {
-                            let field = resolved.child_fields.get(j).map_or_else(
-                                || format!("#{j}"),
-                                |f| program.interner.resolve(*f).to_owned(),
-                            );
                             self.record(
                                 FindingKind::CanaryClobber,
                                 instruction,
                                 program,
                                 method,
                                 addr,
-                                field,
+                                child_field_name(program, resolved, j),
                                 format!(
                                     "array field map entry {m} overruns element width {width} \
                                      into the bracketing element"
@@ -567,7 +690,7 @@ impl Sanitizer {
     }
 
     /// Unsorted `(container slot, child field name)` pairs for a region —
-    /// the positional pairing [`Region::slots`] discards by sorting.
+    /// the positional pairing a region's sorted slot list discards.
     fn slot_field_names(
         layouts: &[ResolvedLayout],
         layout: u32,
@@ -575,21 +698,9 @@ impl Sanitizer {
         elem_len: usize,
     ) -> Vec<(usize, oi_support::Symbol)> {
         let resolved = &layouts[layout as usize];
-        let fields = resolved.child_fields.iter().copied();
-        match &resolved.repr {
-            Repr::Object { slots } => slots.iter().copied().zip(fields).collect(),
-            Repr::Array { kind, width, map } => map
-                .iter()
-                .zip(fields)
-                .map(|(&m, f)| {
-                    let s = match kind {
-                        ArrayLayoutKind::Interleaved => index as usize * *width + m,
-                        ArrayLayoutKind::Parallel => m * elem_len + index as usize,
-                    };
-                    (s, f)
-                })
-                .collect(),
-        }
+        slot_iter(resolved, index, elem_len)
+            .zip(resolved.child_fields.iter().copied())
+            .collect()
     }
 
     /// `true` when one of the two coinciding regions is a legal nested
@@ -601,12 +712,12 @@ impl Sanitizer {
     fn nested_refinement(
         program: &Program,
         layouts: &[ResolvedLayout],
-        existing: &Region,
+        existing: (u32, u32),
         layout: u32,
         index: u32,
         elem_len: usize,
     ) -> bool {
-        let a = Self::slot_field_names(layouts, existing.layout, existing.index, elem_len);
+        let a = Self::slot_field_names(layouts, existing.0, existing.1, elem_len);
         let b = Self::slot_field_names(layouts, layout, index, elem_len);
         let refines = |outer: &[(usize, oi_support::Symbol)],
                        inner: &[(usize, oi_support::Symbol)]|
@@ -638,27 +749,37 @@ impl Sanitizer {
         layout: u32,
     ) {
         let container = heap.get(obj);
-        let slot_count = container.slots.len();
         let elem_len = container.array_len().unwrap_or(0);
         let addr = container.addr;
-        let child_class = layouts[layout as usize].child_class;
-        let shadow = self.shadows.entry(obj).or_default();
-        shadow.ensure(slot_count);
-        if shadow
-            .regions
-            .iter()
-            .any(|r| r.layout == layout && r.index == index)
-        {
+        let resolved = &layouts[layout as usize];
+        let child_class = resolved.child_class;
+        let i = obj.index();
+        if self.regions.len() <= i {
+            self.regions.resize_with(i + 1, || None);
+        }
+        let regions =
+            self.regions[i].get_or_insert_with(|| Box::new(Regions::new(container.slots.len())));
+        let lowest = slot_iter(resolved, index, elem_len).min();
+        if regions.find(lowest, layout, index).is_some() {
             return;
         }
-        let slots = Self::region_slots(layouts, layout, index, elem_len);
+        let id = regions.push(
+            layout,
+            index,
+            child_class,
+            slot_iter(resolved, index, elem_len),
+        );
+        regions.earlier_candidates(id, &mut self.candidates);
+        let slots = regions.slots_of(id);
         let mut conflicts: Vec<(FindingKind, String)> = Vec::new();
-        for existing in &shadow.regions {
-            let shared = existing.slots.iter().filter(|s| slots.contains(s)).count();
+        for &r in &self.candidates {
+            let existing = &regions.list[r as usize];
+            let existing_slots = regions.slots_of(r);
+            let shared = existing_slots.iter().filter(|s| slots.contains(s)).count();
             if shared == 0 {
                 continue;
             }
-            if existing.slots == slots {
+            if existing_slots == slots {
                 // Composed inlining can make an inner region coincide
                 // exactly with its enclosing one (a single-field chain:
                 // `b` holds the whole of `b$a`, which holds the whole of
@@ -667,7 +788,14 @@ impl Sanitizer {
                 // shared word, the coincidence is legal nesting, not two
                 // children fighting over storage.
                 if existing.child_class != child_class
-                    && !Self::nested_refinement(program, layouts, existing, layout, index, elem_len)
+                    && !Self::nested_refinement(
+                        program,
+                        layouts,
+                        (existing.layout, existing.index),
+                        layout,
+                        index,
+                        elem_len,
+                    )
                 {
                     conflicts.push((
                         FindingKind::ClassMismatch,
@@ -681,7 +809,7 @@ impl Sanitizer {
                 }
                 continue;
             }
-            let nested = shared == slots.len() || shared == existing.slots.len();
+            let nested = shared == slots.len() || shared == existing_slots.len();
             if !nested {
                 conflicts.push((
                     FindingKind::RegionOverlap,
@@ -690,18 +818,12 @@ impl Sanitizer {
                          {:?} (class `{}`)",
                         slots,
                         class_name(program, child_class),
-                        existing.slots,
+                        existing_slots,
                         class_name(program, existing.child_class)
                     ),
                 ));
             }
         }
-        shadow.regions.push(Region {
-            layout,
-            index,
-            child_class,
-            slots,
-        });
         for (kind, detail) in conflicts {
             self.record(
                 kind,
@@ -736,22 +858,15 @@ impl Sanitizer {
         self.checks += 1;
         let container = heap.get(obj);
         let container_len = container.slots.len();
-        let addr = container.addr;
-        let field_name = layouts[layout as usize]
-            .child_fields
-            .get(child_field)
-            .map_or_else(
-                || format!("#{child_field}"),
-                |f| program.interner.resolve(*f).to_owned(),
-            );
+        let resolved = &layouts[layout as usize];
         if slot >= container_len {
             self.record(
                 FindingKind::InteriorBounds,
                 instruction,
                 program,
                 method,
-                addr,
-                field_name,
+                container.addr,
+                child_field_name(program, resolved, child_field),
                 format!(
                     "interior access resolved to slot {slot} outside container of \
                      {container_len} slot(s)"
@@ -762,74 +877,75 @@ impl Sanitizer {
                 len: container_len,
             });
         }
-        if self.full() {
-            let shadow = self.shadows.entry(obj).or_default();
-            shadow.ensure(container_len);
-            // Canary membership: the access must stay inside the region
-            // established for this (layout, index).
-            let mut escape: Option<(FindingKind, String)> = None;
-            if let Some(region) = shadow
-                .regions
-                .iter()
-                .find(|r| r.layout == layout && r.index == index)
-            {
-                if !region.slots.contains(&slot) {
-                    let bracket = region.slots.iter().any(|s| s.abs_diff(slot) == 1);
-                    escape = Some((
-                        if bracket {
-                            FindingKind::CanaryClobber
-                        } else {
-                            FindingKind::InteriorBounds
-                        },
-                        format!(
-                            "access to slot {slot} outside established region {:?}",
-                            region.slots
-                        ),
-                    ));
-                }
-            }
-            let poison = is_read && !shadow.written[slot] && !shadow.constructed[slot];
-            if !is_read {
-                shadow.written[slot] = true;
-            }
-            if let Some((kind, detail)) = escape {
-                self.record(
-                    kind,
-                    instruction,
-                    program,
-                    method,
-                    addr,
-                    field_name.clone(),
-                    detail,
-                );
-            }
-            if poison {
-                self.record(
-                    FindingKind::PoisonRead,
-                    instruction,
-                    program,
-                    method,
-                    addr,
-                    field_name,
-                    format!(
-                        "slot {slot} read through an interior reference but never \
-                         initialized (poison, not a stored nil)"
-                    ),
-                );
-            }
+        if !self.full() {
+            return Ok(());
+        }
+        // Canary membership: the access must stay inside the region
+        // established for this (layout, index). The accessed slot's chain
+        // answers the common case; only an escape looks the region up by
+        // its lowest slot.
+        let escape = self
+            .regions
+            .get(obj.index())
+            .and_then(Option::as_deref)
+            .filter(|regions| regions.find_at(slot, layout, index).is_none())
+            .and_then(|regions| {
+                let elem_len = container.array_len().unwrap_or(0);
+                let lowest = slot_iter(resolved, index, elem_len).min();
+                let r = regions.find(lowest, layout, index)?;
+                let region = regions.slots_of(r);
+                let bracket = region.iter().any(|s| s.abs_diff(slot) == 1);
+                Some((
+                    if bracket {
+                        FindingKind::CanaryClobber
+                    } else {
+                        FindingKind::InteriorBounds
+                    },
+                    format!("access to slot {slot} outside established region {region:?}"),
+                ))
+            });
+        let flags = self.flags_mut(container, slot);
+        let poison = is_read && *flags == 0;
+        if !is_read {
+            *flags |= WRITTEN;
+        }
+        let addr = container.addr;
+        if let Some((kind, detail)) = escape {
+            self.record(
+                kind,
+                instruction,
+                program,
+                method,
+                addr,
+                child_field_name(program, resolved, child_field),
+                detail,
+            );
+        }
+        if poison {
+            self.record(
+                FindingKind::PoisonRead,
+                instruction,
+                program,
+                method,
+                addr,
+                child_field_name(program, resolved, child_field),
+                format!(
+                    "slot {slot} read through an interior reference but never \
+                     initialized (poison, not a stored nil)"
+                ),
+            );
         }
         Ok(())
     }
 
     /// Marks a direct (whole-object) store into `slot` of `obj`.
-    pub(crate) fn on_direct_write(&mut self, obj: ObjId, slot: usize, container_len: usize) {
+    pub(crate) fn on_direct_write(&mut self, heap: &Heap, obj: ObjId, slot: usize) {
         if !self.full() {
             return;
         }
-        let shadow = self.shadows.entry(obj).or_default();
-        shadow.ensure(container_len);
-        if slot < shadow.written.len() {
-            shadow.written[slot] = true;
+        let container = heap.get(obj);
+        if slot < container.slots.len() {
+            *self.flags_mut(container, slot) |= WRITTEN;
         }
     }
 
@@ -851,14 +967,10 @@ impl Sanitizer {
             return;
         }
         let container = heap.get(obj);
-        let slot_count = container.slots.len();
         let elem_len = container.array_len().unwrap_or(0);
-        let slots = Self::region_slots(layouts, layout, index, elem_len);
-        let shadow = self.shadows.entry(obj).or_default();
-        shadow.ensure(slot_count);
-        for s in slots {
-            if s < shadow.constructed.len() {
-                shadow.constructed[s] = true;
+        for s in slot_iter(&layouts[layout as usize], index, elem_len) {
+            if s < container.slots.len() {
+                *self.flags_mut(container, s) |= CONSTRUCTED;
             }
         }
     }
@@ -885,9 +997,12 @@ impl Sanitizer {
         let elem_len = container.array_len().unwrap_or(0);
         let (ll, li) = lhs;
         let (rl, ri) = rhs;
-        let a = Self::region_slots(layouts, ll, li, elem_len);
-        let b = Self::region_slots(layouts, rl, ri, elem_len);
-        if a == b {
+        let a = || slot_iter(&layouts[ll as usize], li, elem_len);
+        let b = || slot_iter(&layouts[rl as usize], ri, elem_len);
+        // Equal sorted slot lists, compared as multisets without sorting.
+        let same = a().count() == b().count()
+            && a().all(|s| a().filter(|&t| t == s).count() == b().filter(|&t| t == s).count());
+        if same {
             self.record(
                 FindingKind::IdentityMismatch,
                 "Binary",
@@ -896,13 +1011,54 @@ impl Sanitizer {
                 container.addr,
                 "<region>".to_owned(),
                 format!(
-                    "two interior references into the same region {a:?} of `{}` \
+                    "two interior references into the same region {:?} of `{}` \
                      compare non-identical",
+                    region_slots(layouts, ll, li, elem_len),
                     class_name(program, layouts[ll as usize].child_class)
                 ),
             );
         }
     }
+}
+
+/// Container slots covered by `(resolved, index)`, in layout order.
+/// `elem_len` is the element count for inline-array containers (0 for
+/// object containers).
+fn slot_iter(
+    resolved: &ResolvedLayout,
+    index: u32,
+    elem_len: usize,
+) -> impl Iterator<Item = usize> + Clone + '_ {
+    let index = index as usize;
+    let (positions, array): (&[usize], _) = match &resolved.repr {
+        Repr::Object { slots } => (slots, None),
+        Repr::Array { kind, width, map } => (map, Some((*kind, *width))),
+    };
+    positions.iter().map(move |&m| match array {
+        None => m,
+        Some((ArrayLayoutKind::Interleaved, width)) => index * width + m,
+        Some((ArrayLayoutKind::Parallel, _)) => m * elem_len + index,
+    })
+}
+
+/// Container slots covered by `(layout, index)`, sorted.
+fn region_slots(
+    layouts: &[ResolvedLayout],
+    layout: u32,
+    index: u32,
+    elem_len: usize,
+) -> Vec<usize> {
+    let mut slots: Vec<usize> = slot_iter(&layouts[layout as usize], index, elem_len).collect();
+    slots.sort_unstable();
+    slots
+}
+
+/// The name of child field `j` of a layout (`#j` past the field list).
+fn child_field_name(program: &Program, resolved: &ResolvedLayout, j: usize) -> String {
+    resolved.child_fields.get(j).map_or_else(
+        || format!("#{j}"),
+        |f| program.interner.resolve(*f).to_owned(),
+    )
 }
 
 /// Strips trailing `$<digits>` disambiguator segments that the interner's
@@ -1329,6 +1485,771 @@ mod tests {
             "detail",
         ] {
             assert!(row.get(key).is_some(), "finding.{key} missing");
+        }
+    }
+
+    /// The sanitizer's hook surface, so the same event sequence can drive
+    /// more than one implementation.
+    trait Hooks {
+        fn interior(&mut self, rig: &Rig, obj: ObjId, index: u32, layout: u32);
+        #[allow(clippy::too_many_arguments)]
+        fn access(
+            &mut self,
+            rig: &Rig,
+            obj: ObjId,
+            index: u32,
+            layout: u32,
+            j: usize,
+            slot: usize,
+            is_read: bool,
+        ) -> Result<(), crate::VmError>;
+        fn ctor(&mut self, rig: &Rig, obj: ObjId, index: u32, layout: u32);
+        fn identity(&mut self, rig: &Rig, obj: ObjId, lhs: (u32, u32), rhs: (u32, u32));
+        fn direct_write(&mut self, rig: &Rig, obj: ObjId, slot: usize);
+        fn report(self) -> SanitizerReport;
+    }
+
+    impl Hooks for Sanitizer {
+        fn interior(&mut self, rig: &Rig, obj: ObjId, index: u32, layout: u32) {
+            self.on_interior(
+                &rig.program,
+                &rig.heap,
+                &rig.layouts,
+                None,
+                "MakeInterior",
+                obj,
+                index,
+                layout,
+            );
+        }
+
+        fn access(
+            &mut self,
+            rig: &Rig,
+            obj: ObjId,
+            index: u32,
+            layout: u32,
+            j: usize,
+            slot: usize,
+            is_read: bool,
+        ) -> Result<(), crate::VmError> {
+            let instruction = if is_read { "GetField" } else { "SetField" };
+            self.on_access(
+                &rig.program,
+                &rig.heap,
+                &rig.layouts,
+                None,
+                instruction,
+                obj,
+                index,
+                layout,
+                j,
+                slot,
+                is_read,
+            )
+        }
+
+        fn ctor(&mut self, rig: &Rig, obj: ObjId, index: u32, layout: u32) {
+            self.on_ctor_enter(&rig.layouts, &rig.heap, obj, index, layout);
+        }
+
+        fn identity(&mut self, rig: &Rig, obj: ObjId, lhs: (u32, u32), rhs: (u32, u32)) {
+            self.on_identity(&rig.program, &rig.heap, &rig.layouts, None, obj, lhs, rhs);
+        }
+
+        fn direct_write(&mut self, rig: &Rig, obj: ObjId, slot: usize) {
+            self.on_direct_write(&rig.heap, obj, slot);
+        }
+
+        fn report(self) -> SanitizerReport {
+            self.into_report()
+        }
+    }
+
+    /// A hand-built heap and resolved-layout table for driving the hooks
+    /// directly. It reaches paths the interpreter's own slot arithmetic
+    /// never produces, such as an access outside its established region.
+    /// Classes: `P1 { x, y }`, `P2 { y, z }` and `Rect`, whose fields get
+    /// the post-restructure names passed to [`Rig::new`].
+    struct Rig {
+        program: oi_ir::Program,
+        heap: Heap,
+        layouts: Vec<ResolvedLayout>,
+    }
+
+    impl Rig {
+        fn new(rect_fields: &[&str]) -> Rig {
+            let decls: String = (0..rect_fields.len())
+                .map(|i| format!("field f{i}; "))
+                .collect();
+            let src = format!(
+                "class P1 {{ field x; field y; }}
+                 class P2 {{ field y; field z; }}
+                 class Rect {{ {decls}}}
+                 fn main() {{ print 0; }}"
+            );
+            let mut program = compile(&src).unwrap();
+            let rect = program.class_by_name("Rect").unwrap();
+            for (i, name) in rect_fields.iter().enumerate() {
+                let fid = program.classes[rect].own_fields[i];
+                program.fields[fid].name = program.interner.fresh(name);
+            }
+            Rig {
+                program,
+                heap: Heap::new(1 << 20, 1),
+                layouts: Vec::new(),
+            }
+        }
+
+        fn layout(&mut self, class: &str, fields: &[&str], repr: Repr) -> u32 {
+            let child_class = self.program.class_by_name(class).unwrap();
+            let child_fields = fields
+                .iter()
+                .map(|f| self.program.interner.intern(f))
+                .collect();
+            self.layouts.push(ResolvedLayout {
+                child_class,
+                child_fields,
+                repr,
+            });
+            self.layouts.len() as u32 - 1
+        }
+
+        fn object_layout(&mut self, class: &str, fields: &[&str], slots: &[usize]) -> u32 {
+            let slots = slots.to_vec();
+            self.layout(class, fields, Repr::Object { slots })
+        }
+
+        fn array_layout(
+            &mut self,
+            class: &str,
+            fields: &[&str],
+            kind: ArrayLayoutKind,
+            width: usize,
+            map: &[usize],
+        ) -> u32 {
+            let map = map.to_vec();
+            self.layout(class, fields, Repr::Array { kind, width, map })
+        }
+
+        fn rect(&mut self) -> ObjId {
+            let rect = self.program.class_by_name("Rect").unwrap();
+            let n = self.program.layout_of(rect).len();
+            self.heap.alloc(ObjKind::Instance(rect), n).unwrap()
+        }
+
+        fn inline_array(&mut self, layout: u32, len: usize, width: usize) -> ObjId {
+            self.heap
+                .alloc(ObjKind::ArrayInline { layout, len }, len * width)
+                .unwrap()
+        }
+    }
+
+    fn full() -> Sanitizer {
+        Sanitizer::new(CheckLevel::Full).unwrap()
+    }
+
+    fn rendered(report: &SanitizerReport) -> Vec<String> {
+        report.findings.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn coincident_nested_regions_are_legal() {
+        // `b` holds the whole of `b$a`, which holds the whole of `b$a$x`:
+        // the outer region's child field `a$x` refines the inner's `x`.
+        let mut rig = Rig::new(&["b$a$x"]);
+        let outer = rig.object_layout("P2", &["a$x"], &[0]);
+        let inner = rig.object_layout("P1", &["x"], &[0]);
+        let obj = rig.rect();
+        let mut san = full();
+        san.interior(&rig, obj, 0, outer);
+        san.interior(&rig, obj, 0, inner);
+        san.access(&rig, obj, 0, inner, 0, 0, false).unwrap();
+        san.access(&rig, obj, 0, outer, 0, 0, true).unwrap();
+        let report = san.report();
+        assert!(report.is_clean(), "{:?}", rendered(&report));
+        assert_eq!(report.checks, 4);
+    }
+
+    #[test]
+    fn coincident_regions_of_different_classes_mismatch() {
+        let mut rig = Rig::new(&["a$x"]);
+        let first = rig.object_layout("P1", &["x"], &[0]);
+        let second = rig.object_layout("P2", &["x"], &[0]);
+        let obj = rig.rect();
+        let mut san = full();
+        san.interior(&rig, obj, 0, first);
+        san.interior(&rig, obj, 0, second);
+        // Re-establishing a known (layout, index) is not a new region.
+        san.interior(&rig, obj, 0, second);
+        let report = san.report();
+        assert_eq!(
+            rendered(&report),
+            [
+                "class-mismatch at MakeInterior in <entry> (field `<region>`, container @8): \
+              region claims class `P2`, the same storage was established as class `P1`"
+            ]
+        );
+        assert_eq!((report.total_findings, report.checks), (1, 3));
+    }
+
+    #[test]
+    fn access_escaping_its_region_hits_the_canary_then_bounds() {
+        let mut rig = Rig::new(&["pad", "ll$x", "ll$y", "tail", "far"]);
+        let layout = rig.object_layout("P1", &["x", "y"], &[1, 2]);
+        let obj = rig.rect();
+        let mut san = full();
+        san.interior(&rig, obj, 0, layout);
+        san.access(&rig, obj, 0, layout, 0, 1, false).unwrap();
+        // One word past the region: the bracketing canary.
+        san.access(&rig, obj, 0, layout, 1, 3, false).unwrap();
+        // One word before it: the other bracket.
+        san.access(&rig, obj, 0, layout, 0, 0, true).unwrap();
+        // Two words past it: a plain bounds escape.
+        san.access(&rig, obj, 0, layout, 1, 4, false).unwrap();
+        let report = san.report();
+        assert_eq!(
+            rendered(&report),
+            [
+                "canary-clobber at SetField in <entry> (field `y`, container @8): \
+                 access to slot 3 outside established region [1, 2]",
+                "canary-clobber at GetField in <entry> (field `x`, container @8): \
+                 access to slot 0 outside established region [1, 2]",
+                "poison-read at GetField in <entry> (field `x`, container @8): \
+                 slot 0 read through an interior reference but never initialized \
+                 (poison, not a stored nil)",
+                "interior-bounds at SetField in <entry> (field `y`, container @8): \
+                 access to slot 4 outside established region [1, 2]",
+            ]
+        );
+        assert_eq!((report.total_findings, report.checks), (4, 5));
+    }
+
+    #[test]
+    fn interleaved_array_regions_establish_and_partially_overlap() {
+        let mut rig = Rig::new(&[]);
+        let il = ArrayLayoutKind::Interleaved;
+        let elems = rig.array_layout("P1", &["x", "y"], il, 2, &[0, 1]);
+        // A map shifted by one word: element i claims [2i+1, 2i+2].
+        let shifted = rig.array_layout("P2", &["y", "z"], il, 2, &[1, 2]);
+        let arr = rig.inline_array(elems, 3, 2);
+        let mut san = full();
+        for i in 0..3 {
+            san.interior(&rig, arr, i, elems);
+            san.access(&rig, arr, i, elems, 1, 2 * i as usize + 1, false)
+                .unwrap();
+        }
+        san.interior(&rig, arr, 1, shifted);
+        // An element past the end still establishes its region.
+        san.interior(&rig, arr, 3, elems);
+        let report = san.report();
+        assert_eq!(
+            rendered(&report),
+            [
+                "canary-clobber at MakeInterior in <entry> (field `z`, container @8): \
+                 array field map entry 2 overruns element width 2 into the bracketing element",
+                "region-overlap at MakeInterior in <entry> (field `<region>`, container @8): \
+                 region [3, 4] (class `P2`) partially overlaps established region [2, 3] \
+                 (class `P1`)",
+                "region-overlap at MakeInterior in <entry> (field `<region>`, container @8): \
+                 region [3, 4] (class `P2`) partially overlaps established region [4, 5] \
+                 (class `P1`)",
+                "interior-bounds at MakeInterior in <entry> (field `[3]`, container @8): \
+                 element index 3 outside inline array of length 3",
+            ]
+        );
+        assert_eq!((report.total_findings, report.checks), (4, 8));
+    }
+
+    #[test]
+    fn parallel_array_regions_establish_and_partially_overlap() {
+        let mut rig = Rig::new(&[]);
+        let par = ArrayLayoutKind::Parallel;
+        // Element i of a 3-element parallel array lives at [i, 3 + i].
+        let elems = rig.array_layout("P1", &["x", "y"], par, 2, &[0, 1]);
+        let shifted = rig.array_layout("P2", &["y", "z"], par, 2, &[1, 2]);
+        let arr = rig.inline_array(elems, 3, 2);
+        let mut san = full();
+        for i in 0..3 {
+            san.interior(&rig, arr, i, elems);
+            san.ctor(&rig, arr, i, elems);
+            san.access(&rig, arr, i, elems, 0, i as usize, true)
+                .unwrap();
+        }
+        // [3, 6]: shares slot 3 with element 0 and runs off the end.
+        san.interior(&rig, arr, 0, shifted);
+        // [4, 7]: shares slot 4 with element 1.
+        san.interior(&rig, arr, 1, shifted);
+        let report = san.report();
+        assert_eq!(
+            rendered(&report),
+            [
+                "canary-clobber at MakeInterior in <entry> (field `z`, container @8): \
+                 array field map entry 2 overruns element width 2 into the bracketing element",
+                "region-overlap at MakeInterior in <entry> (field `<region>`, container @8): \
+                 region [3, 6] (class `P2`) partially overlaps established region [0, 3] \
+                 (class `P1`)",
+                "region-overlap at MakeInterior in <entry> (field `<region>`, container @8): \
+                 region [4, 7] (class `P2`) partially overlaps established region [1, 4] \
+                 (class `P1`)",
+            ]
+        );
+        assert_eq!((report.total_findings, report.checks), (3, 8));
+    }
+
+    #[test]
+    fn duplicate_and_out_of_range_layout_slots() {
+        let mut rig = Rig::new(&["ll$x", "ll$y"]);
+        let dup = rig.object_layout("P1", &["x", "y"], &[0, 0]);
+        let single = rig.object_layout("P1", &["x"], &[0]);
+        let wide = rig.object_layout("P1", &["x", "y"], &[0, 5]);
+        let beyond = rig.object_layout("P2", &["y", "z"], &[5, 6]);
+        let obj = rig.rect();
+        let mut san = full();
+        san.interior(&rig, obj, 0, dup);
+        // [0] inside [0, 0]: nested, not an overlap.
+        san.interior(&rig, obj, 0, single);
+        san.interior(&rig, obj, 0, wide);
+        // Shares only the out-of-range slot 5 with `wide`.
+        san.interior(&rig, obj, 0, beyond);
+        san.identity(&rig, obj, (dup, 0), (single, 0));
+        san.identity(&rig, obj, (wide, 0), (wide, 1));
+        let err = san.access(&rig, obj, 0, wide, 1, 5, true).unwrap_err();
+        assert_eq!(
+            err,
+            crate::VmError::CheckedAccessViolation { slot: 5, len: 2 }
+        );
+        san.access(&rig, obj, 0, beyond, 0, 1, true).unwrap();
+        let report = san.report();
+        assert_eq!(
+            rendered(&report),
+            [
+                "canary-clobber at MakeInterior in <entry> (field `ll$x`, container @8): \
+                 slot 0 is the canary word bracketing the true region (child field `y` \
+                 lives at slot 1)",
+                "interior-bounds at MakeInterior in <entry> (field `y`, container @8): \
+                 layout slot 5 outside container of 2 slot(s)",
+                "interior-bounds at MakeInterior in <entry> (field `y`, container @8): \
+                 layout slot 5 outside container of 2 slot(s)",
+                "interior-bounds at MakeInterior in <entry> (field `z`, container @8): \
+                 layout slot 6 outside container of 2 slot(s)",
+                "region-overlap at MakeInterior in <entry> (field `<region>`, container @8): \
+                 region [5, 6] (class `P2`) partially overlaps established region [0, 5] \
+                 (class `P1`)",
+                "identity-mismatch at Binary in <entry> (field `<region>`, container @8): \
+                 two interior references into the same region [0, 5] of `P1` compare \
+                 non-identical",
+                "interior-bounds at GetField in <entry> (field `y`, container @8): \
+                 interior access resolved to slot 5 outside container of 2 slot(s)",
+                "interior-bounds at GetField in <entry> (field `y`, container @8): \
+                 access to slot 1 outside established region [5, 6]",
+                "poison-read at GetField in <entry> (field `y`, container @8): \
+                 slot 1 read through an interior reference but never initialized \
+                 (poison, not a stored nil)",
+            ]
+        );
+        assert_eq!((report.total_findings, report.checks), (9, 8));
+    }
+
+    #[test]
+    fn each_layout_is_validated_once_per_container_class() {
+        let mut rig = Rig::new(&["a", "b"]);
+        let layout = rig.object_layout("P1", &["x"], &[0]);
+        let overrun = rig.array_layout("P1", &["x"], ArrayLayoutKind::Interleaved, 1, &[1]);
+        let (first, second) = (rig.rect(), rig.rect());
+        let arr = rig.inline_array(overrun, 2, 1);
+        let mut san = Sanitizer::new(CheckLevel::Basic).unwrap();
+        for obj in [first, second, first] {
+            san.interior(&rig, obj, 0, layout);
+        }
+        for i in 0..2 {
+            san.interior(&rig, arr, i, overrun);
+        }
+        // A container of the wrong kind is reported on every establishment.
+        san.interior(&rig, arr, 0, layout);
+        san.interior(&rig, arr, 1, layout);
+        let report = san.report();
+        assert_eq!(
+            rendered(&report),
+            [
+                "slot-kind-mismatch at MakeInterior in <entry> (field `a`, container @8): \
+                 slot 0 (`a`) was never restructured for child field `x`",
+                "canary-clobber at MakeInterior in <entry> (field `x`, container @56): \
+                 array field map entry 1 overruns element width 1 into the bracketing element",
+                "slot-kind-mismatch at MakeInterior in <entry> (field `<container>`, \
+                 container @56): layout promises object container, container is an inline array",
+                "slot-kind-mismatch at MakeInterior in <entry> (field `<container>`, \
+                 container @56): layout promises object container, container is an inline array",
+            ]
+        );
+        assert_eq!((report.total_findings, report.checks), (4, 7));
+    }
+
+    /// The linear region list the index replaced, kept as the reference
+    /// model for the differential test below. It delegates the `Basic`
+    /// checks to a `Basic` sanitizer, shares the overlap, nesting and class
+    /// logic, and keeps its own `Full` shadow state: one region list per
+    /// container, searched front to back.
+    mod reference {
+        use super::super::*;
+        use super::{Hooks, Rig};
+        use std::collections::HashMap;
+
+        struct Region {
+            layout: u32,
+            index: u32,
+            child_class: ClassId,
+            /// Sorted container slots the region covers.
+            slots: Vec<usize>,
+        }
+
+        #[derive(Default)]
+        struct Shadow {
+            written: Vec<bool>,
+            constructed: Vec<bool>,
+            /// Established regions, in establishment order.
+            regions: Vec<Region>,
+        }
+
+        impl Shadow {
+            fn ensure(&mut self, len: usize) {
+                if self.written.len() < len {
+                    self.written.resize(len, false);
+                    self.constructed.resize(len, false);
+                }
+            }
+        }
+
+        pub(super) struct Linear {
+            san: Sanitizer,
+            shadows: HashMap<ObjId, Shadow>,
+        }
+
+        impl Linear {
+            pub(super) fn new() -> Self {
+                Self {
+                    san: Sanitizer::new(CheckLevel::Basic).unwrap(),
+                    shadows: HashMap::new(),
+                }
+            }
+
+            fn establish_region(&mut self, rig: &Rig, obj: ObjId, index: u32, layout: u32) {
+                let (program, layouts) = (&rig.program, &rig.layouts[..]);
+                let container = rig.heap.get(obj);
+                let elem_len = container.array_len().unwrap_or(0);
+                let child_class = layouts[layout as usize].child_class;
+                let shadow = self.shadows.entry(obj).or_default();
+                shadow.ensure(container.slots.len());
+                if shadow
+                    .regions
+                    .iter()
+                    .any(|r| r.layout == layout && r.index == index)
+                {
+                    return;
+                }
+                let slots = region_slots(layouts, layout, index, elem_len);
+                let mut conflicts = Vec::new();
+                for existing in &shadow.regions {
+                    let shared = existing.slots.iter().filter(|s| slots.contains(s)).count();
+                    if shared == 0 {
+                        continue;
+                    }
+                    if existing.slots == slots {
+                        if existing.child_class != child_class
+                            && !Sanitizer::nested_refinement(
+                                program,
+                                layouts,
+                                (existing.layout, existing.index),
+                                layout,
+                                index,
+                                elem_len,
+                            )
+                        {
+                            conflicts.push((
+                                FindingKind::ClassMismatch,
+                                format!(
+                                    "region claims class `{}`, the same storage was \
+                                     established as class `{}`",
+                                    class_name(program, child_class),
+                                    class_name(program, existing.child_class)
+                                ),
+                            ));
+                        }
+                        continue;
+                    }
+                    if shared != slots.len() && shared != existing.slots.len() {
+                        conflicts.push((
+                            FindingKind::RegionOverlap,
+                            format!(
+                                "region {:?} (class `{}`) partially overlaps established \
+                                 region {:?} (class `{}`)",
+                                slots,
+                                class_name(program, child_class),
+                                existing.slots,
+                                class_name(program, existing.child_class)
+                            ),
+                        ));
+                    }
+                }
+                shadow.regions.push(Region {
+                    layout,
+                    index,
+                    child_class,
+                    slots,
+                });
+                for (kind, detail) in conflicts {
+                    self.san.record(
+                        kind,
+                        "MakeInterior",
+                        program,
+                        None,
+                        container.addr,
+                        "<region>".to_owned(),
+                        detail,
+                    );
+                }
+            }
+        }
+
+        impl Hooks for Linear {
+            fn interior(&mut self, rig: &Rig, obj: ObjId, index: u32, layout: u32) {
+                self.san.interior(rig, obj, index, layout);
+                self.establish_region(rig, obj, index, layout);
+            }
+
+            fn access(
+                &mut self,
+                rig: &Rig,
+                obj: ObjId,
+                index: u32,
+                layout: u32,
+                j: usize,
+                slot: usize,
+                is_read: bool,
+            ) -> Result<(), crate::VmError> {
+                self.san.access(rig, obj, index, layout, j, slot, is_read)?;
+                let instruction = if is_read { "GetField" } else { "SetField" };
+                let program = &rig.program;
+                let container = rig.heap.get(obj);
+                let field = child_field_name(program, &rig.layouts[layout as usize], j);
+                let shadow = self.shadows.entry(obj).or_default();
+                shadow.ensure(container.slots.len());
+                let mut escape = None;
+                if let Some(region) = shadow
+                    .regions
+                    .iter()
+                    .find(|r| r.layout == layout && r.index == index)
+                {
+                    if !region.slots.contains(&slot) {
+                        let bracket = region.slots.iter().any(|s| s.abs_diff(slot) == 1);
+                        escape = Some((
+                            if bracket {
+                                FindingKind::CanaryClobber
+                            } else {
+                                FindingKind::InteriorBounds
+                            },
+                            format!(
+                                "access to slot {slot} outside established region {:?}",
+                                region.slots
+                            ),
+                        ));
+                    }
+                }
+                let poison = is_read && !shadow.written[slot] && !shadow.constructed[slot];
+                if !is_read {
+                    shadow.written[slot] = true;
+                }
+                let addr = container.addr;
+                if let Some((kind, detail)) = escape {
+                    let field = field.clone();
+                    self.san
+                        .record(kind, instruction, program, None, addr, field, detail);
+                }
+                if poison {
+                    self.san.record(
+                        FindingKind::PoisonRead,
+                        instruction,
+                        program,
+                        None,
+                        addr,
+                        field,
+                        format!(
+                            "slot {slot} read through an interior reference but never \
+                             initialized (poison, not a stored nil)"
+                        ),
+                    );
+                }
+                Ok(())
+            }
+
+            fn ctor(&mut self, rig: &Rig, obj: ObjId, index: u32, layout: u32) {
+                let container = rig.heap.get(obj);
+                let elem_len = container.array_len().unwrap_or(0);
+                let slots = region_slots(&rig.layouts, layout, index, elem_len);
+                let shadow = self.shadows.entry(obj).or_default();
+                shadow.ensure(container.slots.len());
+                for s in slots {
+                    if s < shadow.constructed.len() {
+                        shadow.constructed[s] = true;
+                    }
+                }
+            }
+
+            fn identity(&mut self, rig: &Rig, obj: ObjId, lhs: (u32, u32), rhs: (u32, u32)) {
+                self.san.checks += 1;
+                let container = rig.heap.get(obj);
+                let elem_len = container.array_len().unwrap_or(0);
+                let a = region_slots(&rig.layouts, lhs.0, lhs.1, elem_len);
+                let b = region_slots(&rig.layouts, rhs.0, rhs.1, elem_len);
+                if a == b {
+                    let class = rig.layouts[lhs.0 as usize].child_class;
+                    self.san.record(
+                        FindingKind::IdentityMismatch,
+                        "Binary",
+                        &rig.program,
+                        None,
+                        container.addr,
+                        "<region>".to_owned(),
+                        format!(
+                            "two interior references into the same region {a:?} of `{}` \
+                             compare non-identical",
+                            class_name(&rig.program, class)
+                        ),
+                    );
+                }
+            }
+
+            fn direct_write(&mut self, rig: &Rig, obj: ObjId, slot: usize) {
+                let len = rig.heap.get(obj).slots.len();
+                let shadow = self.shadows.entry(obj).or_default();
+                shadow.ensure(len);
+                if slot < shadow.written.len() {
+                    shadow.written[slot] = true;
+                }
+            }
+
+            fn report(self) -> SanitizerReport {
+                SanitizerReport {
+                    level: CheckLevel::Full,
+                    ..self.san.into_report()
+                }
+            }
+        }
+    }
+
+    /// One hook call of a differential sequence.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Interior(usize, u32, u32),
+        Access(usize, u32, u32, usize, usize, bool),
+        Ctor(usize, u32, u32),
+        Identity(usize, (u32, u32), (u32, u32)),
+        DirectWrite(usize, usize),
+    }
+
+    /// A random rig over crafted layouts — duplicate and out-of-range
+    /// slots, shared storage, array maps overrunning their width — plus a
+    /// random hook sequence over two instances and two inline arrays.
+    fn random_case(seed: u64) -> (Rig, Vec<ObjId>, Vec<Op>) {
+        let mut rng = oi_support::rng::XorShift64::new(seed);
+        let names = [
+            "a$x", "a$y", "b$y", "b$z", "a$inline", "b$a$x", "c$x", "pad",
+        ];
+        let rect_len = 2 + rng.below(4);
+        let rect_fields: Vec<&str> = (0..rect_len).map(|_| *rng.pick(&names)).collect();
+        let mut rig = Rig::new(&rect_fields);
+        let fields = ["x", "y", "z", "a$x", "inline"];
+        let classes = ["P1", "P2"];
+        for _ in 0..3 + rng.below(4) {
+            let class = *rng.pick(&classes);
+            let n = rng.below(4);
+            let child: Vec<&str> = (0..n).map(|_| *rng.pick(&fields)).collect();
+            if rng.chance(1, 2) {
+                let slots: Vec<usize> = (0..n).map(|_| rng.below(rect_len + 2)).collect();
+                rig.object_layout(class, &child, &slots);
+            } else {
+                let kind = if rng.chance(1, 2) {
+                    ArrayLayoutKind::Interleaved
+                } else {
+                    ArrayLayoutKind::Parallel
+                };
+                let width = 1 + rng.below(3);
+                let map: Vec<usize> = (0..n).map(|_| rng.below(width + 1)).collect();
+                rig.array_layout(class, &child, kind, width, &map);
+            }
+        }
+        let mut objs = vec![rig.rect(), rig.rect()];
+        for _ in 0..2 {
+            let (len, width) = (1 + rng.below(4), 1 + rng.below(3));
+            objs.push(rig.inline_array(0, len, width));
+        }
+        let layout_count = rig.layouts.len();
+        let mut ops = Vec::new();
+        for _ in 0..80 {
+            let o = rng.below(objs.len());
+            let elems = rig.heap.get(objs[o]).array_len().unwrap_or(1);
+            let index = rng.below(elems + 1) as u32;
+            let layout = rng.below(layout_count) as u32;
+            let slot_count = rig.heap.get(objs[o]).slots.len();
+            ops.push(match rng.below(10) {
+                0..=2 => Op::Interior(o, index, layout),
+                3..=6 => {
+                    let j = rng.below(rig.layouts[layout as usize].child_fields.len() + 1);
+                    let elem_len = rig.heap.get(objs[o]).array_len().unwrap_or(0);
+                    let resolved = &rig.layouts[layout as usize];
+                    let slot = match slot_iter(resolved, index, elem_len).nth(j) {
+                        Some(s) if rng.chance(3, 4) => s,
+                        _ => rng.below(slot_count + 2),
+                    };
+                    Op::Access(o, index, layout, j, slot, rng.chance(1, 2))
+                }
+                7 => Op::Ctor(o, index, layout),
+                8 => {
+                    let other = (rng.below(layout_count) as u32, rng.below(elems + 1) as u32);
+                    Op::Identity(o, (layout, index), other)
+                }
+                _ => Op::DirectWrite(o, rng.below(slot_count.max(1))),
+            });
+        }
+        (rig, objs, ops)
+    }
+
+    fn drive<H: Hooks>(mut hooks: H, rig: &Rig, objs: &[ObjId], ops: &[Op]) -> SanitizerReport {
+        for &op in ops {
+            match op {
+                Op::Interior(o, index, layout) => hooks.interior(rig, objs[o], index, layout),
+                Op::Access(o, index, layout, j, slot, is_read) => {
+                    // A fatal access ends a real run; the model keeps going.
+                    let _ = hooks.access(rig, objs[o], index, layout, j, slot, is_read);
+                }
+                Op::Ctor(o, index, layout) => hooks.ctor(rig, objs[o], index, layout),
+                Op::Identity(o, lhs, rhs) => hooks.identity(rig, objs[o], lhs, rhs),
+                Op::DirectWrite(o, slot) => hooks.direct_write(rig, objs[o], slot),
+            }
+        }
+        hooks.report()
+    }
+
+    #[test]
+    fn region_index_agrees_with_the_linear_reference() {
+        let mut kinds_seen = std::collections::HashSet::new();
+        for seed in 1..=400 {
+            let (rig, objs, ops) = random_case(seed);
+            let indexed = drive(full(), &rig, &objs, &ops);
+            let linear = drive(reference::Linear::new(), &rig, &objs, &ops);
+            assert_eq!(indexed, linear, "seed {seed}: {ops:?}");
+            kinds_seen.extend(indexed.findings.iter().map(|f| f.kind.name()));
+        }
+        // The generator reaches every finding the Full shadow produces.
+        for kind in [
+            FindingKind::InteriorBounds,
+            FindingKind::CanaryClobber,
+            FindingKind::RegionOverlap,
+            FindingKind::ClassMismatch,
+            FindingKind::PoisonRead,
+            FindingKind::IdentityMismatch,
+        ] {
+            assert!(kinds_seen.contains(kind.name()), "never produced {kind:?}");
         }
     }
 
