@@ -753,6 +753,52 @@ fn bench_restartload_gate_and_usage() {
     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
     assert_eq!(doc.get("corrupt_total").and_then(Json::as_i64), Some(0));
     assert_eq!(doc.get("recovered"), Some(&Json::Bool(true)));
+    assert_eq!(
+        keys(&doc),
+        [
+            "schema",
+            "requests",
+            "distinct_sources",
+            "seed",
+            "zipf_s",
+            "kills",
+            "cache_bytes",
+            "disk_bytes",
+            "segments",
+            "prekill_rate",
+            "warm_rate_min",
+            "warm_floor",
+            "corrupt_total",
+            "error_total",
+            "reconciled",
+            "recovered",
+            "ok",
+        ]
+    );
+    let segments = doc.get("segments").and_then(Json::as_arr).unwrap();
+    assert_eq!(segments.len(), 2);
+    for row in segments {
+        assert_eq!(
+            keys(row),
+            [
+                "index",
+                "requests",
+                "hits",
+                "disk_hits",
+                "misses",
+                "errors",
+                "corrupt",
+                "hit_rate",
+                "reconciled",
+                "disk_attached",
+                "recovered_torn_tail",
+                "entries_recovered",
+                "quarantined",
+                "orphans_adopted",
+                "killed",
+            ]
+        );
+    }
 }
 
 #[test]
@@ -1154,4 +1200,187 @@ fn prof_rejects_bad_usage_with_exit_2() {
     // Runtime failures (unreadable file) are exit 1, not usage errors.
     let out = oic().args(["prof", "/no/such/file.oi"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
+}
+
+/// The ordered key list of a JSON object (empty for anything else).
+fn keys(doc: &oi_support::Json) -> Vec<&str> {
+    match doc {
+        oi_support::Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// `oic bench tenantload` golden test: pins the top-level and nested key
+/// sets of the `oi.tenantload.v1` document, including the embedded
+/// `oi.tenant.v1` scheduler report and its per-tenant rows.
+#[test]
+fn tenantload_json_document_is_schema_stable() {
+    use oi_support::Json;
+    let out = oic()
+        .args([
+            "bench",
+            "tenantload",
+            "--requests",
+            "60",
+            "--tenants",
+            "8",
+            "--hogs",
+            "1",
+            "--workers",
+            "2",
+            "--min-throughput",
+            "1",
+            "--json",
+        ])
+        .output()
+        .unwrap();
+    let doc = Json::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    assert_eq!(
+        keys(&doc),
+        [
+            "schema",
+            "requests",
+            "tenants",
+            "hogs",
+            "workers",
+            "fuel_slice",
+            "seed",
+            "zipf_s",
+            "min_throughput",
+            "submitted",
+            "rejected",
+            "completed",
+            "quota_kills",
+            "cross_tenant_kills",
+            "panics",
+            "runtime_errors",
+            "shed",
+            "reconciled",
+            "starved_tenants",
+            "max_starvation",
+            "elapsed_ms",
+            "throughput",
+            "tenant_report",
+            "ok",
+        ]
+    );
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("oi.tenantload.v1")
+    );
+    let report = doc.get("tenant_report").unwrap();
+    assert_eq!(
+        keys(report),
+        [
+            "schema",
+            "fuel_slice",
+            "ticks",
+            "total_fuel",
+            "reconciled",
+            "tenants"
+        ]
+    );
+    assert_eq!(
+        report.get("schema").and_then(Json::as_str),
+        Some("oi.tenant.v1")
+    );
+    let tenants = report.get("tenants").and_then(Json::as_arr).unwrap();
+    assert!(!tenants.is_empty());
+    for row in tenants {
+        assert_eq!(
+            keys(row),
+            [
+                "tenant",
+                "submitted",
+                "completed",
+                "shed",
+                "panicked",
+                "runtime_errors",
+                "quota_kills",
+                "fuel",
+                "vm_instructions",
+                "reconciled",
+                "slices",
+                "first_done_tick",
+                "last_done_tick",
+                "max_queue_wait_ns",
+            ]
+        );
+        assert_eq!(
+            keys(row.get("quota_kills").unwrap()),
+            ["instructions", "heap-words", "call-depth", "deadline"]
+        );
+    }
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// `oic bench brownoutload` golden test: pins the top-level and nested
+/// key sets of the `oi.brownout.v1` document. The gate verdict depends on
+/// machine load, so only the shape and the exit-code class are pinned.
+#[test]
+fn brownoutload_json_document_is_schema_stable() {
+    use oi_support::Json;
+    let out = oic()
+        .args(["bench", "brownoutload", "--seed", "1", "--json"])
+        .output()
+        .unwrap();
+    assert!(
+        matches!(out.status.code(), Some(0 | 1)),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = Json::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    assert_eq!(keys(&doc), ["schema", "config", "client", "server", "gate"]);
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("oi.brownout.v1")
+    );
+    assert_eq!(
+        keys(doc.get("config").unwrap()),
+        [
+            "burst",
+            "sources",
+            "seed",
+            "target_ms",
+            "queue",
+            "jobs",
+            "retries"
+        ]
+    );
+    assert_eq!(
+        keys(doc.get("client").unwrap()),
+        [
+            "completed",
+            "give_ups",
+            "attempts",
+            "retries_used",
+            "shed_responses",
+            "reader_sheds",
+            "unexpected_errors",
+            "protocol_errors",
+            "backoff_ms_total",
+            "recovery_probes",
+        ]
+    );
+    assert_eq!(
+        keys(doc.get("server").unwrap()),
+        [
+            "requests",
+            "shed_total",
+            "brownout_descend_total",
+            "brownout_recover_total",
+            "final_tier",
+            "breaker_open",
+            "brownout_queue_wait_p99_us",
+            "brownout_degraded_compiles",
+        ]
+    );
+    assert_eq!(keys(doc.get("gate").unwrap()), ["passed", "failures"]);
+    let passed = doc.get("gate").and_then(|g| g.get("passed"));
+    assert_eq!(passed, Some(&Json::Bool(out.status.code() == Some(0))));
 }
