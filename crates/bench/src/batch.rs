@@ -21,7 +21,9 @@
 //! real tier, 1 when any finding survived (a panicked or non-compiling
 //! job), 2 on usage errors.
 
+use crate::cli::{usage_error, write_out};
 use crate::harness::time_once;
+use crate::serve::flag_u64;
 use oi_core::cache::{config_fingerprint, Artifact, ArtifactCache, CacheKey};
 use oi_core::ladder::{optimize_with_ladder, LadderConfig, LadderOutcome, Tier};
 use oi_support::panic::{contained, silence_hook};
@@ -543,19 +545,6 @@ pub fn cli_main(args: &[String]) -> u8 {
     u8::from(!report.ok())
 }
 
-fn flag_u64(scanner: &mut oi_support::cli::ArgScanner, flag: &str) -> Result<u64, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("`{flag}` needs a positive integer, got `{v}`")),
-    }
-}
-
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}");
-    2
-}
-
 fn render_text(report: &BatchReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "batch: {} job(s)", report.results.len());
@@ -601,24 +590,6 @@ fn render_text(report: &BatchReport) -> String {
     }
     let _ = write!(out, "{}", if report.ok() { "OK" } else { "FINDINGS" });
     out
-}
-
-/// Writes `doc` to `path` (with a trailing newline) or stdout.
-fn write_out(doc: &str, path: Option<&str>) -> u8 {
-    match path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
-            eprintln!("wrote {path}");
-            0
-        }
-        None => {
-            println!("{doc}");
-            0
-        }
-    }
 }
 
 #[cfg(test)]

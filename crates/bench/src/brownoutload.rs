@@ -1,10 +1,11 @@
 //! `oic bench brownoutload` — the overload-control gate (`oi.brownout.v1`).
 //!
-//! Replays a seeded cold-compile burst against an in-process serve
-//! session with adaptive brownout enabled, hard enough that the
-//! controller must descend at least one rung, then retries every shed
-//! through the typed `retry_after_ms` contract and paces liveness probes
-//! until the service climbs back to `guarded-full`.
+//! A preset over [`crate::scenario`]: a seeded cold-compile
+//! [`scenario::burst`] against an in-process serve session with adaptive
+//! brownout enabled, hard enough that the controller must descend at
+//! least one rung, with every shed retried through the typed
+//! `retry_after_ms` contract; then its own recovery phase paces liveness
+//! probes until the service climbs back to `guarded-full`.
 //!
 //! The gate fails on any of:
 //!
@@ -21,10 +22,10 @@
 //!   `serve.requests` / `serve.shed_total` counters (every attempt
 //!   answered exactly once, every shed accounted).
 
-use crate::client::{request_with_retries, with_pump_client, Transport, RETRYABLE_KINDS};
-use crate::overload::{RetryPolicy, RetrySession};
+use crate::client::{with_pump_client, Transport};
+use crate::overload::RetryPolicy;
+use crate::scenario::{self, classify, compile_line, Burst, Flag, GateReport, Preset};
 use crate::serve::{ServeConfig, Server};
-use oi_support::cli::{Arg, ArgScanner};
 use oi_support::Json;
 use std::time::Duration;
 
@@ -61,29 +62,41 @@ impl Default for BrownoutLoadConfig {
     }
 }
 
+/// The `oic bench brownoutload` command.
+pub(crate) const PRESET: Preset<BrownoutLoadConfig, BrownoutLoadReport> = Preset {
+    name: "brownoutload",
+    about: "Pipelines a seeded cold-compile burst at a brownout-enabled serve
+session, retries every shed through the typed retry_after_ms
+contract, and waits for recovery. Emits oi.brownout.v1 and exits 1
+when the overload gate fails (no descend, any give-up or unexpected
+error, unbounded brownout p99, missing recovery, or a shed/request
+reconciliation mismatch).",
+    summary: "config.burst config.target_ms client.completed client.give_ups \
+              client.attempts client.shed_responses client.reader_sheds \
+              server.brownout_descend_total server.brownout_recover_total \
+              server.final_tier server.brownout_queue_wait_p99_us",
+    flags: &[
+        Flag::Positive("burst", "N", |c, n| c.burst = n as usize),
+        Flag::Positive("sources", "K", |c, n| c.sources = n as usize),
+        Flag::Count("seed", "S", |c, n| c.seed = n),
+        Flag::Positive("target-ms", "N", |c, n| c.target_ms = n),
+        Flag::Positive("queue", "N", |c, n| c.queue = n as usize),
+        Flag::Positive("jobs", "N", |c, n| c.jobs = n as usize),
+        Flag::Count("retries", "N", |c, n| {
+            c.retries = n.min(u64::from(u32::MAX)) as u32
+        }),
+    ],
+    check: |_| Ok(()),
+    run: |c| Ok(run_brownoutload(c)),
+};
+
 /// Everything one run measured, plus the gate verdict.
 #[derive(Debug)]
 pub struct BrownoutLoadReport {
     config: BrownoutLoadConfig,
-    /// Burst requests that eventually completed `ok:true`.
-    completed: u64,
-    /// Burst requests whose retries ran out.
-    give_ups: u64,
-    /// Every request line sent (burst + retries + probes).
-    attempts: u64,
-    /// Retry attempts beyond each request's first try.
-    retries_used: u64,
-    /// Shed responses observed client-side (`overloaded` / `shedding` /
-    /// `tenant-over-concurrency`), at any attempt.
-    shed_responses: u64,
-    /// Sheds answered at the reader (id-less: never reached dispatch).
-    reader_sheds: u64,
-    /// Responses that were neither `ok:true` nor typed-retryable.
-    unexpected_errors: u64,
-    /// Unanswered or unparseable response lines.
-    protocol_errors: u64,
-    /// Total backoff slept across all retried requests (ms).
-    backoff_ms_total: u64,
+    /// The client's view of the burst; the recovery probes add to its
+    /// `attempts`, `unexpected` and `protocol_errors`.
+    client: Burst,
     /// Probe round-trips spent waiting for recovery.
     recovery_probes: u64,
     /// Did the controller return to `guarded-full` before the probe
@@ -101,26 +114,27 @@ pub struct BrownoutLoadReport {
     degraded_compiles: u64,
 }
 
-impl BrownoutLoadReport {
+impl GateReport for BrownoutLoadReport {
     /// Gate failures, empty when the run is clean.
-    pub fn gate_failures(&self) -> Vec<String> {
+    fn failures(&self) -> Vec<String> {
+        let c = &self.client;
         let mut fails = Vec::new();
-        if self.protocol_errors > 0 {
-            fails.push(format!("{} protocol errors", self.protocol_errors));
+        if c.protocol_errors > 0 {
+            fails.push(format!("{} protocol errors", c.protocol_errors));
         }
-        if self.unexpected_errors > 0 {
-            fails.push(format!("{} unexpected errors", self.unexpected_errors));
+        if c.unexpected > 0 {
+            fails.push(format!("{} unexpected errors", c.unexpected));
         }
         if self.descends == 0 {
             fails.push("burst never forced a brownout descend".to_string());
         }
-        if self.give_ups > 0 {
-            fails.push(format!("{} retried requests gave up", self.give_ups));
+        if c.give_ups > 0 {
+            fails.push(format!("{} retried requests gave up", c.give_ups));
         }
-        if self.completed + self.give_ups != self.config.burst as u64 {
+        if c.completed + c.give_ups != self.config.burst as u64 {
             fails.push(format!(
                 "burst accounting leak: {} completed + {} gave up != {} sent",
-                self.completed, self.give_ups, self.config.burst
+                c.completed, c.give_ups, self.config.burst
             ));
         }
         let bound_ns = u128::from(self.config.target_ms) * 2_000_000;
@@ -146,24 +160,24 @@ impl BrownoutLoadReport {
         if self.breaker_open != 0 {
             fails.push(format!("{} circuit breakers left open", self.breaker_open));
         }
-        if self.serve_requests != self.attempts - self.reader_sheds {
+        if self.serve_requests != c.attempts - c.reader_sheds {
             fails.push(format!(
                 "request reconciliation: server saw {} requests, client sent {} ({} shed at reader)",
-                self.serve_requests, self.attempts, self.reader_sheds
+                self.serve_requests, c.attempts, c.reader_sheds
             ));
         }
-        if self.serve_sheds != self.shed_responses {
+        if self.serve_sheds != c.refusals {
             fails.push(format!(
                 "shed reconciliation: serve.shed_total {} != {} shed responses observed",
-                self.serve_sheds, self.shed_responses
+                self.serve_sheds, c.refusals
             ));
         }
         fails
     }
 
     /// The `oi.brownout.v1` document.
-    pub fn to_json(&self) -> Json {
-        let failures = self.gate_failures();
+    fn to_json(&self) -> Json {
+        let (c, failures) = (&self.client, self.failures());
         Json::obj(vec![
             ("schema", "oi.brownout.v1".into()),
             (
@@ -181,15 +195,15 @@ impl BrownoutLoadReport {
             (
                 "client",
                 Json::obj(vec![
-                    ("completed", self.completed.into()),
-                    ("give_ups", self.give_ups.into()),
-                    ("attempts", self.attempts.into()),
-                    ("retries_used", self.retries_used.into()),
-                    ("shed_responses", self.shed_responses.into()),
-                    ("reader_sheds", self.reader_sheds.into()),
-                    ("unexpected_errors", self.unexpected_errors.into()),
-                    ("protocol_errors", self.protocol_errors.into()),
-                    ("backoff_ms_total", self.backoff_ms_total.into()),
+                    ("completed", c.completed.into()),
+                    ("give_ups", c.give_ups.into()),
+                    ("attempts", c.attempts.into()),
+                    ("retries_used", c.retries_used.into()),
+                    ("shed_responses", c.refusals.into()),
+                    ("reader_sheds", c.reader_sheds.into()),
+                    ("unexpected_errors", c.unexpected.into()),
+                    ("protocol_errors", c.protocol_errors.into()),
+                    ("backoff_ms_total", c.backoff_ms_total.into()),
                     ("recovery_probes", self.recovery_probes.into()),
                 ]),
             ),
@@ -221,45 +235,6 @@ impl BrownoutLoadReport {
             ),
         ])
     }
-
-    /// Human-readable summary table.
-    pub fn render_text(&self) -> String {
-        let failures = self.gate_failures();
-        let mut s = String::new();
-        s.push_str("brownoutload\n");
-        s.push_str(&format!(
-            "  burst {} over {} sources, target {}ms, queue {}, {} job(s), {} retries\n",
-            self.config.burst,
-            self.config.sources,
-            self.config.target_ms,
-            self.config.queue,
-            self.config.jobs,
-            self.config.retries
-        ));
-        s.push_str(&format!(
-            "  completed {}  give-ups {}  attempts {}  retries {}  backoff {}ms\n",
-            self.completed, self.give_ups, self.attempts, self.retries_used, self.backoff_ms_total
-        ));
-        s.push_str(&format!(
-            "  sheds {} (reader {})  descends {}  recovers {}  final tier {}\n",
-            self.shed_responses, self.reader_sheds, self.descends, self.recovers, self.final_tier
-        ));
-        s.push_str(&format!(
-            "  brownout p99 {}us  degraded compiles {}  breaker open {}\n",
-            self.brownout_p99_ns / 1_000,
-            self.degraded_compiles,
-            self.breaker_open
-        ));
-        if failures.is_empty() {
-            s.push_str("  gate: PASS\n");
-        } else {
-            s.push_str("  gate: FAIL\n");
-            for f in &failures {
-                s.push_str(&format!("    - {f}\n"));
-            }
-        }
-        s
-    }
 }
 
 /// The i-th synthetic source: distinct class and constant pools so every
@@ -281,27 +256,6 @@ fn source(i: usize) -> String {
     )
 }
 
-fn compile_line(source_ix: usize, id: u64) -> String {
-    Json::obj(vec![
-        ("id", Json::from(id)),
-        ("op", "compile".into()),
-        ("source", source(source_ix).into()),
-    ])
-    .to_string()
-}
-
-fn is_shed_kind(kind: &str) -> bool {
-    matches!(kind, "overloaded" | "shedding" | "tenant-over-concurrency")
-}
-
-fn kind_of(resp: &Json) -> &str {
-    resp.get("error_kind").and_then(Json::as_str).unwrap_or("")
-}
-
-fn is_ok(resp: &Json) -> bool {
-    resp.get("ok").and_then(Json::as_bool).unwrap_or(false)
-}
-
 /// Runs the burst, the retry convergence, and the recovery wait.
 pub fn run_brownoutload(config: &BrownoutLoadConfig) -> BrownoutLoadReport {
     let server = Server::new(ServeConfig {
@@ -311,130 +265,50 @@ pub fn run_brownoutload(config: &BrownoutLoadConfig) -> BrownoutLoadReport {
         jobs: config.jobs.max(1),
         ..ServeConfig::default()
     });
-    let mut completed = 0u64;
-    let mut give_ups = 0u64;
-    let mut attempts = 0u64;
-    let mut retries_used = 0u64;
-    let mut shed_responses = 0u64;
-    let mut reader_sheds = 0u64;
-    let mut unexpected_errors = 0u64;
-    let mut protocol_errors = 0u64;
-    let mut backoff_ms_total = 0u64;
-    let mut recovery_probes = 0u64;
-    let mut recovered = false;
-
-    with_pump_client(&server, |client| {
-        // Phase 1 — the burst: everything pipelined at once, cold cache,
-        // bounded queue. The reader sheds the overflow `overloaded`, the
-        // queue builds wait, and the controller must descend.
-        let lines: Vec<String> = (0..config.burst)
-            .map(|i| compile_line(i % config.sources.max(1), i as u64))
-            .collect();
-        for line in &lines {
-            client.send_line(line);
-        }
-        let mut needs_retry: Vec<usize> = Vec::new();
-        for (i, _) in lines.iter().enumerate() {
-            attempts += 1;
-            match client.recv_line() {
-                None => protocol_errors += 1,
-                Some(resp) => {
-                    let kind = kind_of(&resp).to_string();
-                    if is_ok(&resp) {
-                        completed += 1;
-                    } else if RETRYABLE_KINDS.contains(&kind.as_str()) {
-                        if is_shed_kind(&kind) {
-                            shed_responses += 1;
-                        }
-                        if resp.get("id").is_none_or(|id| *id == Json::Null) {
-                            reader_sheds += 1;
-                        }
-                        needs_retry.push(i);
-                    } else {
-                        unexpected_errors += 1;
-                    }
-                }
-            }
-        }
-
-        // Phase 2 — convergence: every shed is retried lock-step under
-        // the typed retry contract. Backoff gives the service air; the
-        // cache warms as retries land, so pressure decays naturally.
-        let policy = RetryPolicy {
-            max_attempts: config.retries.saturating_add(1),
-            ..RetryPolicy::default()
-        };
-        for &i in &needs_retry {
-            let mut session =
-                RetrySession::new(policy, config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9));
-            let outcome = request_with_retries(client, &lines[i], &mut session);
-            attempts += u64::from(outcome.attempts);
-            retries_used += u64::from(outcome.attempts.saturating_sub(1));
-            backoff_ms_total += outcome.backoff_ms_total;
-            // Every non-final answer in the retry loop was a retryable
-            // refusal; the final one is too when the budget ran out.
-            let final_retryable = outcome
-                .response
-                .as_ref()
-                .map(|r| RETRYABLE_KINDS.contains(&kind_of(r)))
-                .unwrap_or(false);
-            let refusals =
-                u64::from(outcome.attempts.saturating_sub(1)) + u64::from(final_retryable);
-            shed_responses += refusals; // no quarantine in this scenario
-            match &outcome.response {
-                None => protocol_errors += 1,
-                Some(resp) if is_ok(resp) => completed += 1,
-                Some(resp) if final_retryable => {
-                    debug_assert!(outcome.gave_up, "retryable final implies give-up: {resp}");
-                    give_ups += 1;
-                }
-                Some(_) => unexpected_errors += 1,
-            }
-        }
-
+    let lines: Vec<String> = (0..config.burst)
+        .map(|i| compile_line(i as u64, &source(i % config.sources.max(1))))
+        .collect();
+    let policy = RetryPolicy {
+        max_attempts: config.retries.saturating_add(1),
+        ..RetryPolicy::default()
+    };
+    let (client, recovery_probes, recovered) = with_pump_client(&server, |pump| {
+        // Phases 1 and 2 — everything pipelined at once, cold cache,
+        // bounded queue: the reader sheds the overflow `overloaded`, the
+        // queue builds wait and the controller must descend. Every shed
+        // then converges lock-step under the typed retry contract;
+        // backoff gives the service air and the cache warms as retries
+        // land, so pressure decays naturally. With no watchdog there is
+        // no quarantine, so every refusal is a shed.
+        let mut client = scenario::burst(pump, &lines, policy, config.seed);
         // Phase 3 — recovery: paced liveness probes feed the controller
         // calm samples until it climbs back to guarded-full (or the
         // probe budget proves it never will).
-        for probe in 0..2_000u64 {
+        for probe in 1..=2_000u64 {
             let line = Json::obj(vec![
-                ("id", Json::from(1_000_000 + probe)),
+                ("id", Json::from(999_999 + probe)),
                 ("op", "health".into()),
             ])
             .to_string();
-            attempts += 1;
-            recovery_probes += 1;
-            let Some(resp) = client.roundtrip(&line) else {
-                protocol_errors += 1;
-                break;
+            client.attempts += 1;
+            let Some(resp) = pump.roundtrip(&line) else {
+                client.protocol_errors += 1;
+                return (client, probe, false);
             };
-            if !is_ok(&resp) {
-                unexpected_errors += 1;
-            }
-            let tier = resp
-                .get("payload")
-                .and_then(|p| p.get("brownout_tier"))
-                .and_then(Json::as_str)
-                .unwrap_or("");
-            if tier == "guarded-full" {
-                recovered = true;
-                break;
+            client.unexpected += u64::from(!classify(&resp).is_ok());
+            let tier = resp.get("payload").and_then(|p| p.get("brownout_tier"));
+            if tier.and_then(Json::as_str) == Some("guarded-full") {
+                return (client, probe, true);
             }
             std::thread::sleep(Duration::from_millis(2));
         }
+        (client, 2_000, false)
     });
 
     let m = server.metrics();
     BrownoutLoadReport {
         config: config.clone(),
-        completed,
-        give_ups,
-        attempts,
-        retries_used,
-        shed_responses,
-        reader_sheds,
-        unexpected_errors,
-        protocol_errors,
-        backoff_ms_total,
+        client,
         recovery_probes,
         recovered,
         serve_requests: m.counter("serve.requests"),
@@ -448,110 +322,6 @@ pub fn run_brownoutload(config: &BrownoutLoadConfig) -> BrownoutLoadReport {
     }
 }
 
-const USAGE: &str = "usage: oi-bench brownoutload [--burst N] [--sources K] [--seed S] \
-     [--target-ms N] [--queue N] [--jobs N] [--retries N] [--json] [--out FILE]\n\
-     \n\
-     Replay a seeded cold-compile burst against a brownout-enabled serve\n\
-     session, retry every shed through the typed retry_after_ms contract,\n\
-     and wait for recovery. Emits oi.brownout.v1 with --json; exit 1 when\n\
-     the overload gate fails (no descend, any give-up or unexpected error,\n\
-     unbounded brownout p99, missing recovery, or a shed/request\n\
-     reconciliation mismatch).";
-
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}\n\n{USAGE}");
-    2
-}
-
-fn parse_flag<T: std::str::FromStr>(scanner: &mut ArgScanner, flag: &str) -> Result<T, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    v.parse::<T>()
-        .map_err(|_| format!("`{flag}` needs a valid value, got `{v}`"))
-}
-
-/// Entry point for `oic bench brownoutload`.
-pub fn cli_main(args: &[String]) -> u8 {
-    let mut config = BrownoutLoadConfig::default();
-    let mut json_output = false;
-    let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(a) => a,
-            Err(e) => return usage_error(&e),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "burst" => match parse_flag::<usize>(&mut scanner, "--burst") {
-                    Ok(n) if n > 0 => config.burst = n,
-                    _ => return usage_error("`--burst` needs a positive integer"),
-                },
-                "sources" => match parse_flag::<usize>(&mut scanner, "--sources") {
-                    Ok(n) if n > 0 => config.sources = n,
-                    _ => return usage_error("`--sources` needs a positive integer"),
-                },
-                "seed" => match parse_flag::<u64>(&mut scanner, "--seed") {
-                    Ok(n) => config.seed = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "target-ms" => match parse_flag::<u64>(&mut scanner, "--target-ms") {
-                    Ok(n) if n > 0 => config.target_ms = n,
-                    _ => return usage_error("`--target-ms` needs a positive integer"),
-                },
-                "queue" => match parse_flag::<usize>(&mut scanner, "--queue") {
-                    Ok(n) if n > 0 => config.queue = n,
-                    _ => return usage_error("`--queue` needs a positive integer"),
-                },
-                "jobs" => match parse_flag::<usize>(&mut scanner, "--jobs") {
-                    Ok(n) if n > 0 => config.jobs = n,
-                    _ => return usage_error("`--jobs` needs a positive integer"),
-                },
-                "retries" => match parse_flag::<u32>(&mut scanner, "--retries") {
-                    Ok(n) => config.retries = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "json" => json_output = true,
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) => out = Some(path),
-                    Err(_) => return usage_error("`--out` needs a file path"),
-                },
-                other => return usage_error(&format!("unknown flag `--{other}`")),
-            },
-            Arg::Flag { name, value } => {
-                return usage_error(&format!(
-                    "unknown flag `--{name}={}`",
-                    value.unwrap_or_default()
-                ))
-            }
-            Arg::Positional(p) => return usage_error(&format!("unexpected argument `{p}`")),
-        }
-    }
-    let report = run_brownoutload(&config);
-    let doc = if json_output {
-        report.to_json().to_string()
-    } else {
-        report.render_text().trim_end().to_string()
-    };
-    let code = match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
-            eprintln!("wrote {path}");
-            0
-        }
-        None => {
-            println!("{doc}");
-            0
-        }
-    };
-    if code != 0 {
-        return code;
-    }
-    u8::from(!report.gate_failures().is_empty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,13 +330,13 @@ mod tests {
     fn brownoutload_gate_passes_and_reconciles() {
         let report = run_brownoutload(&BrownoutLoadConfig::default());
         assert!(
-            report.gate_failures().is_empty(),
+            report.failures().is_empty(),
             "gate failures: {:?}\n{}",
-            report.gate_failures(),
-            report.render_text()
+            report.failures(),
+            report.to_json()
         );
         assert!(report.descends >= 1, "burst must force a descend");
-        assert_eq!(report.completed, report.config.burst as u64);
+        assert_eq!(report.client.completed, report.config.burst as u64);
         let doc = report.to_json();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
@@ -592,7 +362,7 @@ mod tests {
             ..BrownoutLoadConfig::default()
         });
         assert!(report
-            .gate_failures()
+            .failures()
             .iter()
             .any(|f| f.contains("never forced a brownout descend")));
     }

@@ -21,6 +21,8 @@
 //! story cannot tolerate. Exit 0 requires every fault class detected
 //! somewhere, every detection repaired, and zero escapes anywhere.
 
+use crate::cli::{usage_error, write_out};
+use crate::scenario::{self, classify, compile_line, payload, request_line};
 use oi_core::cache::store::DiskStore;
 use oi_core::firewall::{optimize_guarded, Divergence, FirewallConfig};
 use oi_core::pipeline::{optimize, InlineConfig};
@@ -542,7 +544,7 @@ pub fn run_service_chaos() -> Vec<ServiceRow> {
 /// directly — a program with no exit cannot pass through `serve`'s
 /// compile path, whose firewall runs candidates empirically.
 fn service_never_yields() -> ServiceRow {
-    use crate::sched::{JobSpec, ProgramRef, SchedConfig, Scheduler, TenantQuota};
+    use crate::sched::{JobSpec, ProgramRef, SchedConfig, TenantQuota};
     let hostile = Arc::new(
         oi_ir::lower::compile("fn main() { var i = 0; while (0 < 1) { i = i + 1; } print i; }")
             .expect("hostile sentinel compiles"),
@@ -554,37 +556,25 @@ fn service_never_yields() -> ServiceRow {
         )
         .expect("neighbor sentinel compiles"),
     );
-    let (tx, rx) = std::sync::mpsc::channel();
-    drop(rx);
-    let sched = Scheduler::new(
-        SchedConfig {
-            fuel_slice: 1_000,
-            max_queue: 8,
-        },
-        tx,
-    );
     let quota = |max_instructions: u64| TenantQuota {
         max_instructions,
         ..TenantQuota::default()
     };
-    let _ = sched.submit(JobSpec {
-        tenant: "hostile".into(),
-        program: ProgramRef::Bare(hostile),
-        quota: quota(5_000),
+    let job = |tenant: &str, program, max_instructions| JobSpec {
+        tenant: tenant.into(),
+        program: ProgramRef::Bare(program),
+        quota: quota(max_instructions),
         fault: None,
-    });
-    let _ = sched.submit(JobSpec {
-        tenant: "neighbor".into(),
-        program: ProgramRef::Bare(neighbor),
-        quota: quota(1 << 20),
-        fault: None,
-    });
-    sched.close();
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(|| sched.worker_loop());
-        }
-    });
+    };
+    let jobs = [
+        job("hostile", hostile, 5_000),
+        job("neighbor", neighbor, 1 << 20),
+    ];
+    let config = SchedConfig {
+        fuel_slice: 1_000,
+        max_queue: 8,
+    };
+    let (sched, _, _) = scenario::drain(config, jobs, 2);
     let summaries = sched.tenant_summaries();
     let find = |name: &str| summaries.iter().find(|s| s.tenant == name);
     let hostile_s = find("hostile");
@@ -609,11 +599,14 @@ fn service_never_yields() -> ServiceRow {
 }
 
 /// Drives one full serve session over an in-memory transcript and
-/// returns the parsed responses plus the server's final counters.
+/// returns the parsed responses plus the drained server, whose metrics
+/// hold the session's final counters. A disk-backed server compacts its
+/// journal again when dropped, so callers drop it before touching the
+/// store directory.
 fn serve_session(
     config: crate::serve::ServeConfig,
     requests: &[String],
-) -> (Vec<Json>, Json, bool) {
+) -> (Vec<Json>, crate::serve::Server, bool) {
     let server = crate::serve::Server::new(config);
     let input = std::io::Cursor::new(requests.join("\n").into_bytes());
     let mut out: Vec<u8> = Vec::new();
@@ -623,15 +616,7 @@ fn serve_session(
         .map(|l| Json::parse(l).unwrap_or(Json::Null))
         .collect();
     let clean_exit = code == 0 && server.metrics().gauge("serve.in_flight") == 0;
-    (responses, server.metrics().to_json(), clean_exit)
-}
-
-fn counter_of(metrics: &Json, name: &str) -> i64 {
-    metrics
-        .get("counters")
-        .and_then(|c| c.get(name))
-        .and_then(Json::as_i64)
-        .unwrap_or(0)
+    (responses, server, clean_exit)
 }
 
 /// A quota-exhaustion storm through the full serve pipeline: a burst of
@@ -643,27 +628,15 @@ fn service_fuel_storm() -> ServiceRow {
                         { acc = acc + i; i = i + 1; } print acc; }";
     let mut requests: Vec<String> = (0..STORM)
         .map(|i| {
-            Json::obj(vec![
-                ("id", Json::from(i as u64 + 1)),
-                ("op", "run".into()),
-                ("source", storm_source.into()),
-                ("tenant", format!("storm{}", i % 6).into()),
-            ])
-            .to_string()
+            let tenant = format!("storm{}", i % 6);
+            request_line(i as u64 + 1, "run", storm_source, tenant_of(&tenant))
         })
         .collect();
+    let calm = "fn main() { print 1 + 1; }";
     for (i, tenant) in ["calm0", "calm1"].iter().enumerate() {
-        requests.push(
-            Json::obj(vec![
-                ("id", Json::from(100 + i as u64)),
-                ("op", "run".into()),
-                ("source", "fn main() { print 1 + 1; }".into()),
-                ("tenant", (*tenant).into()),
-            ])
-            .to_string(),
-        );
+        requests.push(request_line(100 + i as u64, "run", calm, tenant_of(tenant)));
     }
-    let (responses, metrics, clean_exit) = serve_session(
+    let (responses, server, clean_exit) = serve_session(
         crate::serve::ServeConfig {
             jobs: 2,
             max_instructions: Some(1_000),
@@ -685,7 +658,7 @@ fn service_fuel_storm() -> ServiceRow {
         .iter()
         .skip(STORM)
         .filter(|r| {
-            r.get("ok").and_then(Json::as_bool) == Some(true)
+            classify(r).is_ok()
                 && r.get("payload")
                     .and_then(|p| p.get("output"))
                     .and_then(Json::as_str)
@@ -694,7 +667,8 @@ fn service_fuel_storm() -> ServiceRow {
         .count();
     let detected = responses.len() == STORM + 2 && killed == STORM;
     let neighbors_ok = calm_ok == 2;
-    let reconciled = clean_exit && counter_of(&metrics, "serve.quota_kills_total") == STORM as i64;
+    let reconciled =
+        clean_exit && server.metrics().counter("serve.quota_kills_total") == STORM as u64;
     ServiceRow {
         fault: ServiceFault::FuelExhaustionStorm,
         detected,
@@ -716,26 +690,18 @@ fn service_mid_request_panic() -> ServiceRow {
     let source = "fn main() { var i = 0; var acc = 0; while (i < 5000) \
                   { acc = acc + i; i = i + 1; } print acc; }";
     let requests = vec![
-        Json::obj(vec![
-            ("id", Json::from(1u64)),
-            ("op", "run".into()),
-            ("source", source.into()),
-            ("tenant", "victim".into()),
-            (
-                "chaos",
-                Json::obj(vec![("panic_at_slice", Json::from(1u64))]),
-            ),
-        ])
-        .to_string(),
-        Json::obj(vec![
-            ("id", Json::from(2u64)),
-            ("op", "run".into()),
-            ("source", source.into()),
-            ("tenant", "bystander".into()),
-        ])
-        .to_string(),
+        request_line(
+            1,
+            "run",
+            source,
+            vec![
+                ("tenant", "victim".into()),
+                ("chaos", Json::obj(vec![("panic_at_slice", 1u64.into())])),
+            ],
+        ),
+        request_line(2, "run", source, tenant_of("bystander")),
     ];
-    let (responses, metrics, clean_exit) = serve_session(
+    let (responses, server, clean_exit) = serve_session(
         crate::serve::ServeConfig {
             allow_chaos_faults: true,
             fuel_slice: 1_000,
@@ -747,13 +713,13 @@ fn service_mid_request_panic() -> ServiceRow {
         && responses[0].get("ok").and_then(Json::as_bool) == Some(false)
         && responses[0].get("error_kind").and_then(Json::as_str) == Some("panic");
     let neighbors_ok = responses.len() == 2
-        && responses[1].get("ok").and_then(Json::as_bool) == Some(true)
+        && classify(&responses[1]).is_ok()
         && responses[1]
             .get("payload")
             .and_then(|p| p.get("output"))
             .and_then(Json::as_str)
             .is_some();
-    let reconciled = clean_exit && counter_of(&metrics, "serve.errors") == 1;
+    let reconciled = clean_exit && server.metrics().counter("serve.errors") == 1;
     ServiceRow {
         fault: ServiceFault::MidRequestPanic,
         detected,
@@ -771,34 +737,14 @@ fn service_mid_request_panic() -> ServiceRow {
     }
 }
 
-fn gauge_of(metrics: &Json, name: &str) -> i64 {
-    metrics
-        .get("gauges")
-        .and_then(|g| g.get(name))
-        .and_then(Json::as_i64)
-        .unwrap_or(0)
-}
-
-fn chaos_compile(id: u64, source: &str) -> String {
-    Json::obj(vec![
-        ("id", Json::from(id)),
-        ("op", "compile".into()),
-        ("source", source.into()),
-    ])
-    .to_string()
+/// The `tenant` field of a request line.
+fn tenant_of(tenant: &str) -> Vec<(&'static str, Json)> {
+    vec![("tenant", tenant.into())]
 }
 
 fn chaos_wedge(id: u64, source: &str, wedge_ms: u64) -> String {
-    Json::obj(vec![
-        ("id", Json::from(id)),
-        ("op", "compile".into()),
-        ("source", source.into()),
-        (
-            "chaos",
-            Json::obj(vec![("wedge_compile_ms", wedge_ms.into())]),
-        ),
-    ])
-    .to_string()
+    let wedge = Json::obj(vec![("wedge_compile_ms", wedge_ms.into())]);
+    request_line(id, "compile", source, vec![("chaos", wedge)])
 }
 
 /// A repeat-offender source wedges the single worker twice: each victim
@@ -812,12 +758,12 @@ fn service_wedged_worker() -> ServiceRow {
                     fn main() { var w = new W(7); print w.a; }";
     let requests = vec![
         chaos_wedge(1, offender, 200),
-        chaos_compile(2, "fn main() { print 1 + 1; }"),
+        compile_line(2, "fn main() { print 1 + 1; }"),
         chaos_wedge(3, offender, 200),
-        chaos_compile(4, offender),
-        chaos_compile(5, "fn main() { print 2 + 2; }"),
+        compile_line(4, offender),
+        compile_line(5, "fn main() { print 2 + 2; }"),
     ];
-    let (responses, metrics, clean_exit) = serve_session(
+    let (responses, server, clean_exit) = serve_session(
         crate::serve::ServeConfig {
             jobs: 1,
             allow_chaos_faults: true,
@@ -835,20 +781,15 @@ fn service_wedged_worker() -> ServiceRow {
             .and_then(Json::as_str)
             .unwrap_or("")
     };
-    let served = |i: usize| {
-        responses
-            .get(i)
-            .and_then(|r| r.get("ok"))
-            .and_then(Json::as_bool)
-            == Some(true)
-    };
+    let served = |i: usize| responses.get(i).is_some_and(|r| classify(r).is_ok());
     let hint = responses
         .get(3)
         .and_then(|r| r.get("retry_after_ms"))
         .and_then(Json::as_i64)
         .unwrap_or(0);
-    let kills = counter_of(&metrics, "serve.watchdog_kills_total");
-    let replacements = counter_of(&metrics, "serve.worker_replacements_total");
+    let metrics = server.metrics();
+    let kills = metrics.counter("serve.watchdog_kills_total");
+    let replacements = metrics.counter("serve.worker_replacements_total");
     let detected = responses.len() == 5
         && kind(0) == "watchdog-killed"
         && kind(2) == "watchdog-killed"
@@ -858,8 +799,8 @@ fn service_wedged_worker() -> ServiceRow {
     let reconciled = clean_exit
         && kills == 2
         && replacements == 2
-        && counter_of(&metrics, "serve.breaker_opened_total") == 1
-        && counter_of(&metrics, "serve.quarantined_total") == 1;
+        && metrics.counter("serve.breaker_opened_total") == 1
+        && metrics.counter("serve.quarantined_total") == 1;
     ServiceRow {
         fault: ServiceFault::WedgedWorker,
         detected,
@@ -886,11 +827,11 @@ fn service_compile_spin() -> ServiceRow {
                    fn main() { var s = new S(3); print s.a; }";
     let requests = vec![
         chaos_wedge(1, spinner, 250),
-        chaos_compile(2, "fn main() { print 10 + 1; }"),
-        chaos_compile(3, "fn main() { print 10 + 2; }"),
-        chaos_compile(4, "fn main() { print 10 + 3; }"),
+        compile_line(2, "fn main() { print 10 + 1; }"),
+        compile_line(3, "fn main() { print 10 + 2; }"),
+        compile_line(4, "fn main() { print 10 + 3; }"),
     ];
-    let (responses, metrics, clean_exit) = serve_session(
+    let (responses, server, clean_exit) = serve_session(
         crate::serve::ServeConfig {
             jobs: 2,
             allow_chaos_faults: true,
@@ -908,16 +849,17 @@ fn service_compile_spin() -> ServiceRow {
     let neighbors = responses
         .iter()
         .skip(1)
-        .filter(|r| r.get("ok").and_then(Json::as_bool) == Some(true))
+        .filter(|r| classify(r).is_ok())
         .count();
+    let metrics = server.metrics();
     let detected = responses.len() == 4 && victim_kind == "watchdog-killed";
     let neighbors_ok = neighbors == 3;
     let reconciled = clean_exit
-        && counter_of(&metrics, "serve.watchdog_kills_total") == 1
-        && counter_of(&metrics, "serve.worker_replacements_total") == 1
-        && counter_of(&metrics, "serve.breaker_opened_total") == 0
-        && counter_of(&metrics, "serve.quarantined_total") == 0
-        && counter_of(&metrics, "serve.errors") == 1;
+        && metrics.counter("serve.watchdog_kills_total") == 1
+        && metrics.counter("serve.worker_replacements_total") == 1
+        && metrics.counter("serve.breaker_opened_total") == 0
+        && metrics.counter("serve.quarantined_total") == 0
+        && metrics.counter("serve.errors") == 1;
     ServiceRow {
         fault: ServiceFault::CompileSpin,
         detected,
@@ -926,7 +868,7 @@ fn service_compile_spin() -> ServiceRow {
         detail: format!(
             "victim verdict: {victim_kind}; {neighbors}/3 neighbors served during the \
              wedge; one strike left the breaker closed: {}",
-            counter_of(&metrics, "serve.breaker_opened_total") == 0,
+            metrics.counter("serve.breaker_opened_total") == 0,
         ),
         wall_ms: 0,
     }
@@ -939,8 +881,6 @@ fn service_compile_spin() -> ServiceRow {
 /// client observed (sheds answered at the reader are id-less and never
 /// reach dispatch).
 fn service_retry_storm() -> ServiceRow {
-    use crate::client::{request_with_retries, with_pump_client, RETRYABLE_KINDS};
-    use crate::overload::{RetryPolicy, RetrySession};
     const FLOOD: usize = 24;
     let source = |i: usize| {
         let n = i % 6;
@@ -951,96 +891,28 @@ fn service_retry_storm() -> ServiceRow {
         )
     };
     let lines: Vec<String> = (0..FLOOD)
-        .map(|i| chaos_compile(i as u64 + 1, &source(i)))
+        .map(|i| compile_line(i as u64 + 1, &source(i)))
         .collect();
     let server = crate::serve::Server::new(crate::serve::ServeConfig {
         queue: 2,
         jobs: 1,
         ..crate::serve::ServeConfig::default()
     });
-    let mut attempts = 0u64;
-    let mut reader_sheds = 0u64;
-    let mut shed_responses = 0u64;
-    let mut hinted = 0u64;
-    let mut first_wave_sheds = 0u64;
-    let mut completed = 0u64;
-    let mut give_ups = 0u64;
-    let mut protocol_errors = 0u64;
-    with_pump_client(&server, |client| {
-        for line in &lines {
-            client.send_line(line);
-        }
-        let mut needs_retry: Vec<usize> = Vec::new();
-        for i in 0..FLOOD {
-            attempts += 1;
-            let Some(resp) = client.recv_line() else {
-                protocol_errors += 1;
-                continue;
-            };
-            let kind = resp
-                .get("error_kind")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string();
-            if resp.get("ok").and_then(Json::as_bool) == Some(true) {
-                completed += 1;
-            } else if RETRYABLE_KINDS.contains(&kind.as_str()) {
-                shed_responses += 1;
-                first_wave_sheds += 1;
-                if resp
-                    .get("retry_after_ms")
-                    .and_then(Json::as_i64)
-                    .unwrap_or(0)
-                    > 0
-                {
-                    hinted += 1;
-                }
-                if resp.get("id").is_none_or(|id| *id == Json::Null) {
-                    reader_sheds += 1;
-                }
-                needs_retry.push(i);
-            } else {
-                protocol_errors += 1;
-            }
-        }
-        // Lock-step retries: one request in flight at a time, so retry
-        // traffic can never itself overflow the two-slot queue (no
-        // id-less reader sheds past the first wave).
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base_ms: 5,
-            cap_ms: 50,
-            budget_ms: 2_000,
-        };
-        for &i in &needs_retry {
-            let mut session = RetrySession::new(policy, 7 ^ (i as u64).wrapping_mul(0x9e37_79b9));
-            let outcome = request_with_retries(client, &lines[i], &mut session);
-            attempts += u64::from(outcome.attempts);
-            let final_retryable = outcome
-                .response
-                .as_ref()
-                .map(|r| {
-                    RETRYABLE_KINDS
-                        .contains(&r.get("error_kind").and_then(Json::as_str).unwrap_or(""))
-                })
-                .unwrap_or(false);
-            shed_responses +=
-                u64::from(outcome.attempts.saturating_sub(1)) + u64::from(final_retryable);
-            match &outcome.response {
-                None => protocol_errors += 1,
-                Some(resp) if resp.get("ok").and_then(Json::as_bool) == Some(true) => {
-                    completed += 1;
-                }
-                Some(_) if final_retryable => give_ups += 1,
-                Some(_) => protocol_errors += 1,
-            }
-        }
+    let policy = crate::overload::RetryPolicy {
+        max_attempts: 10,
+        base_ms: 5,
+        cap_ms: 50,
+        budget_ms: 2_000,
+    };
+    let b = crate::client::with_pump_client(&server, |client| {
+        scenario::burst(client, &lines, policy, 7)
     });
     let m = server.metrics();
-    let detected = first_wave_sheds >= 1 && hinted == first_wave_sheds;
-    let neighbors_ok = completed == FLOOD as u64 && give_ups == 0 && protocol_errors == 0;
-    let reconciled = m.counter("serve.requests") == attempts - reader_sheds
-        && m.counter("serve.shed_total") == shed_responses
+    let detected = b.first_wave_refusals >= 1 && b.hinted == b.first_wave_refusals;
+    let neighbors_ok =
+        b.completed == FLOOD as u64 && b.give_ups == 0 && b.protocol_errors + b.unexpected == 0;
+    let reconciled = m.counter("serve.requests") == b.attempts - b.reader_sheds
+        && m.counter("serve.shed_total") == b.refusals
         && m.gauge("serve.in_flight") == 0;
     ServiceRow {
         fault: ServiceFault::RetryStorm,
@@ -1048,8 +920,9 @@ fn service_retry_storm() -> ServiceRow {
         neighbors_ok,
         reconciled,
         detail: format!(
-            "{first_wave_sheds} first-wave sheds ({hinted} hinted, {reader_sheds} at the \
-             reader); {completed}/{FLOOD} converged in {attempts} attempts, {give_ups} give-ups"
+            "{} first-wave sheds ({} hinted, {} at the reader); \
+             {}/{FLOOD} converged in {} attempts, {} give-ups",
+            b.first_wave_refusals, b.hinted, b.reader_sheds, b.completed, b.attempts, b.give_ups
         ),
         wall_ms: 0,
     }
@@ -1076,30 +949,28 @@ fn service_persister_backlog() -> ServiceRow {
         ..crate::serve::ServeConfig::default()
     };
     let cold_requests: Vec<String> = (0..FLEET)
-        .map(|i| chaos_compile(i as u64 + 1, &source(i)))
+        .map(|i| compile_line(i as u64 + 1, &source(i)))
         .collect();
-    let (cold, cold_metrics, cold_clean) = serve_session(config(Some(5)), &cold_requests);
+    let (cold, cold_server, cold_clean) = serve_session(config(Some(5)), &cold_requests);
+    let cold_metrics = cold_server.metrics();
+    let peak = cold_metrics.counter("serve.persist_backlog_peak");
+    let residual = cold_metrics.gauge("serve.persist_backlog");
+    let persisted = cold_metrics.counter("disk.persists");
+    let persist_failures = cold_metrics.counter("disk.persist_failures");
+    drop(cold_server);
     let warm_requests: Vec<String> = (0..FLEET)
-        .map(|i| chaos_compile(i as u64 + 101, &source(i)))
+        .map(|i| compile_line(i as u64 + 101, &source(i)))
         .collect();
-    let (warm, warm_metrics, warm_clean) = serve_session(config(None), &warm_requests);
+    let (warm, warm_server, warm_clean) = serve_session(config(None), &warm_requests);
+    let warm_disk_hits = warm_server.metrics().counter("disk.load_hits");
+    drop(warm_server);
     let _ = std::fs::remove_dir_all(&dir);
-    let ok_count = |rs: &[Json]| {
-        rs.iter()
-            .filter(|r| r.get("ok").and_then(Json::as_bool) == Some(true))
-            .count()
-    };
-    let peak = counter_of(&cold_metrics, "serve.persist_backlog_peak");
-    let residual = gauge_of(&cold_metrics, "serve.persist_backlog");
-    let persisted = counter_of(&cold_metrics, "disk.persists");
-    let warm_disk_hits = counter_of(&warm_metrics, "disk.load_hits");
+    let ok_count = |rs: &[Json]| rs.iter().filter(|r| classify(r).is_ok()).count();
     let (cold_ok, warm_ok) = (ok_count(&cold), ok_count(&warm));
-    let detected = peak >= 2 && residual == 0 && persisted == FLEET as i64;
+    let detected = peak >= 2 && residual == 0 && persisted == FLEET as u64;
     let neighbors_ok = cold_ok == FLEET && warm_ok == FLEET;
-    let reconciled = cold_clean
-        && warm_clean
-        && counter_of(&cold_metrics, "disk.persist_failures") == 0
-        && warm_disk_hits == FLEET as i64;
+    let reconciled =
+        cold_clean && warm_clean && persist_failures == 0 && warm_disk_hits == FLEET as u64;
     ServiceRow {
         fault: ServiceFault::PersisterBacklog,
         detected,
@@ -1156,24 +1027,13 @@ fn run_io_case(fault: IoFault) -> IoRow {
         .iter()
         .take(2)
         .enumerate()
-        .map(|(i, &(_, source))| {
-            Json::obj(vec![
-                ("id", Json::from(i as u64 + 1)),
-                ("op", "compile".into()),
-                ("source", source.into()),
-            ])
-            .to_string()
-        })
+        .map(|(i, &(_, source))| compile_line(i as u64 + 1, source))
         .chain(std::iter::once(
             Json::obj(vec![("id", 99u64.into()), ("op", "shutdown".into())]).to_string(),
         ))
         .collect();
     let (seeded, _, seed_clean) = serve_session(config(), &requests);
-    let expected: Vec<String> = seeded
-        .iter()
-        .take(2)
-        .map(|r| r.get("payload").map(Json::to_string).unwrap_or_default())
-        .collect();
+    let expected: Vec<String> = seeded.iter().take(2).map(payload).collect();
 
     let injected = match DiskStore::inject_io_fault(&dir, fault) {
         Ok(desc) => desc,
@@ -1191,11 +1051,8 @@ fn run_io_case(fault: IoFault) -> IoRow {
         }
     };
 
-    let (responses, metrics, clean_exit) = serve_session(config(), &requests);
-    let all_ok = responses.len() == requests.len()
-        && responses
-            .iter()
-            .all(|r| r.get("ok").and_then(Json::as_bool) == Some(true));
+    let (responses, server, clean_exit) = serve_session(config(), &requests);
+    let all_ok = responses.len() == requests.len() && responses.iter().all(|r| classify(r).is_ok());
     let recovered = seed_clean && clean_exit && all_ok;
     // Zero corrupt serves: every compile answer must carry the exact
     // pre-fault payload, whether it came from disk or a recompile.
@@ -1211,7 +1068,7 @@ fn run_io_case(fault: IoFault) -> IoRow {
         .map(|r| r.get("cache").and_then(Json::as_str).unwrap_or("?"))
         .collect();
 
-    let c = |name: &str| counter_of(&metrics, name);
+    let c = |name: &str| server.metrics().counter(name);
     let quarantine_files = std::fs::read_dir(dir.join("quarantine"))
         .map(|d| d.count())
         .unwrap_or(0);
@@ -1254,6 +1111,7 @@ fn run_io_case(fault: IoFault) -> IoRow {
             )
         }
     };
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
     IoRow {
         fault,
@@ -1392,11 +1250,6 @@ pub fn cli_main(args: &[String]) -> u8 {
     u8::from(!report.ok())
 }
 
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}");
-    2
-}
-
 fn render_text(report: &ChaosReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -1474,24 +1327,6 @@ fn render_text(report: &ChaosReport) -> String {
         if report.ok() { "OK" } else { "FINDINGS" }
     );
     out
-}
-
-/// Writes `doc` to `path` (with a trailing newline) or stdout.
-fn write_out(doc: &str, path: Option<&str>) -> u8 {
-    match path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
-            eprintln!("wrote {path}");
-            0
-        }
-        None => {
-            println!("{doc}");
-            0
-        }
-    }
 }
 
 #[cfg(test)]

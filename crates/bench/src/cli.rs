@@ -1,6 +1,9 @@
 //! The `oi-bench` command-line interface (also reachable as
 //! `oic bench`): `snapshot` writes an `oi.bench.v1` document, `compare`
-//! diffs two of them with the noise-aware gate.
+//! diffs two of them with the noise-aware gate, and the four load gates
+//! (`loadgen`, `tenantload`, `restartload`, `brownoutload`) are
+//! [`crate::scenario::Preset`]s whose `--help` entries come from their
+//! flag tables.
 //!
 //! Exit codes follow the workspace convention: `0` success (and, for
 //! `compare`, no regression), `1` runtime failure or a regression, `2`
@@ -13,7 +16,7 @@ use oi_benchmarks::BenchSize;
 use oi_support::cli::{Arg, ArgScanner};
 use oi_support::Json;
 
-const USAGE: &str = "usage: oi-bench <command>
+const USAGE_HEAD: &str = "usage: oi-bench <command>
 
 commands:
   snapshot [--size small|default|large] [--samples N] [--profile]
@@ -27,31 +30,20 @@ commands:
       wall-clock gates statistically (calibrated noise floors) when both
       snapshots carry >= 2 samples; --wall-advisory disarms that gate
       for cross-machine comparisons
-  loadgen [--requests N] [--sources K] [--seed S] [--zipf-s X]
-          [--cache-bytes B] [--json] [--out FILE]
-      replay a seeded Zipf-skewed compile trace against an in-process
-      compile server and emit oi.load.v1; exit 1 when the gate fails
-  tenantload [--requests N] [--tenants T] [--hogs H] [--workers W]
-             [--fuel-slice F] [--seed S] [--zipf-s X]
-             [--min-throughput J] [--json] [--out FILE]
-      submit a Zipf-skewed burst of small programs across T tenants
-      (H rigged quota-busters) to the fair scheduler and emit
-      oi.tenantload.v1; exit 1 when the fairness/robustness gate fails
-  restartload [--requests N] [--sources K] [--seed S] [--zipf-s X]
-              [--kills M] [--cache-bytes B] [--disk-bytes B]
-              [--cache-dir DIR] [--json] [--out FILE]
-      replay a seeded compile trace against a --cache-dir server,
-      killing it uncleanly M times and restarting over the same store;
-      emit oi.restart.v1; exit 1 on any corrupt serve, reconciliation
-      mismatch, missed recovery, or a warm hit rate under 0.8x cold
-  brownoutload [--burst N] [--sources K] [--seed S] [--target-ms N]
-               [--queue N] [--jobs N] [--retries N] [--json] [--out FILE]
-      pipeline a cold-compile burst at a brownout-enabled serve session,
-      retry every shed through the typed retry_after_ms contract, and
-      wait for recovery; emit oi.brownout.v1; exit 1 when the overload
-      gate fails (no descend, give-ups, unbounded p99, missed recovery,
-      or a shed/request reconciliation mismatch)
 ";
+
+/// The full usage text: `snapshot` and `compare`, then every gate preset
+/// from its own usage strings.
+fn usage() -> String {
+    [
+        USAGE_HEAD.to_string(),
+        crate::loadgen::PRESET.help(),
+        crate::tenantload::PRESET.help(),
+        crate::restartload::PRESET.help(),
+        crate::brownoutload::PRESET.help(),
+    ]
+    .concat()
+}
 
 /// Runs the CLI on pre-split arguments and returns the process exit
 /// code. `oic bench ...` forwards here, so errors print program-agnostic
@@ -60,12 +52,12 @@ pub fn main(args: &[String]) -> u8 {
     match args.first().map(String::as_str) {
         Some("snapshot") => snapshot_cmd(&args[1..]),
         Some("compare") => compare_cmd(&args[1..]),
-        Some("loadgen") => crate::loadgen::cli_main(&args[1..]),
-        Some("tenantload") => crate::tenantload::cli_main(&args[1..]),
-        Some("restartload") => crate::restartload::cli_main(&args[1..]),
-        Some("brownoutload") => crate::brownoutload::cli_main(&args[1..]),
+        Some("loadgen") => crate::loadgen::PRESET.main(&args[1..]),
+        Some("tenantload") => crate::tenantload::PRESET.main(&args[1..]),
+        Some("restartload") => crate::restartload::PRESET.main(&args[1..]),
+        Some("brownoutload") => crate::brownoutload::PRESET.main(&args[1..]),
         Some("--help") | Some("help") => {
-            print!("{USAGE}");
+            print!("{}", usage());
             0
         }
         Some(other) => {
@@ -75,13 +67,14 @@ pub fn main(args: &[String]) -> u8 {
             2
         }
         None => {
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             2
         }
     }
 }
 
-fn usage_error(msg: &str) -> u8 {
+/// Prints `msg` on stderr; returns the usage-error exit code 2.
+pub(crate) fn usage_error(msg: &str) -> u8 {
     eprintln!("{msg}");
     2
 }
@@ -236,8 +229,10 @@ fn compare_cmd(args: &[String]) -> u8 {
     u8::from(cmp.regressed)
 }
 
-/// Writes `doc` to `path` (with a trailing newline) or stdout.
-fn write_out(doc: &str, path: Option<&str>) -> u8 {
+/// Writes `doc` to `path` (with a trailing newline, reporting `wrote
+/// PATH` on stderr) or to stdout. Exit code 1 when the file cannot be
+/// written.
+pub(crate) fn write_out(doc: &str, path: Option<&str>) -> u8 {
     match path {
         Some(path) => {
             if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
@@ -286,6 +281,18 @@ mod tests {
     #[test]
     fn help_succeeds() {
         assert_eq!(run(&["--help"]), 0);
+    }
+
+    /// `--help` carries every gate's entry, synopsis generated from its
+    /// flag table.
+    #[test]
+    fn help_lists_every_gate_flag() {
+        let help = usage();
+        assert!(help.contains(&crate::loadgen::PRESET.help()));
+        assert!(help.contains(&crate::tenantload::PRESET.help()));
+        assert!(help.contains(&crate::restartload::PRESET.help()));
+        assert!(help.contains(&crate::brownoutload::PRESET.help()));
+        assert!(help.contains("[--cache-bytes B] [--retries N]"), "{help}");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! The driver is exposed as `oic fuzz --runs N --seed S [--json]`,
 //! emitting a schema-stable `oi.fuzz.v1` document.
 
+use crate::cli::{usage_error, write_out};
 use oi_core::firewall::{compare_runs, optimize_guarded, Divergence, FirewallConfig};
 use oi_core::pipeline::{try_baseline, try_optimize, InlineConfig};
 use oi_support::panic::{contained, silence_hook};
@@ -674,11 +675,6 @@ pub fn cli_main(args: &[String]) -> u8 {
     u8::from(!report.ok())
 }
 
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}");
-    2
-}
-
 fn render_text(report: &FuzzReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "fuzz: {} case(s), seed {}", report.runs, report.seed);
@@ -707,24 +703,6 @@ fn render_text(report: &FuzzReport) -> String {
     }
     let _ = write!(out, "{}", if report.ok() { "OK" } else { "FINDINGS" });
     out
-}
-
-/// Writes `doc` to `path` (with a trailing newline) or stdout.
-fn write_out(doc: &str, path: Option<&str>) -> u8 {
-    match path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
-            eprintln!("wrote {path}");
-            0
-        }
-        None => {
-            println!("{doc}");
-            0
-        }
-    }
 }
 
 #[cfg(test)]

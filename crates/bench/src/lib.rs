@@ -26,6 +26,7 @@ pub mod loadgen;
 pub mod overload;
 pub mod prof;
 pub mod restartload;
+pub mod scenario;
 pub mod sched;
 pub mod serve;
 pub mod snapshot;

@@ -1,16 +1,14 @@
 //! `oic bench loadgen` — deterministic replayed load against an
 //! in-process compile server.
 //!
-//! The harness synthesizes `N` distinct compilable sources, replays a
-//! seeded Zipf-skewed request trace over them against an in-process
-//! [`crate::serve::Server`], and emits a schema-stable `oi.load.v1`
-//! document with the achieved cache hit rate and p50/p99 service
-//! latencies split by cache outcome.
+//! A preset over [`crate::scenario`]: one memory-only segment replaying
+//! a seeded Zipf-skewed [`Trace`] of `N` distinct synthetic sources,
+//! emitted as a schema-stable `oi.load.v1` document with the achieved
+//! cache hit rate and p50/p99 service latencies split by cache outcome.
 //!
-//! Everything is deterministic: the trace is drawn from
-//! [`oi_support::rng::XorShift64`] with a fixed seed, so two runs with
-//! the same flags replay byte-identical request sequences. The document
-//! carries its own verdict (`ok`) so ci.sh can gate on it:
+//! Everything is deterministic: two runs with the same flags replay
+//! byte-identical request sequences. The document carries its own
+//! verdict (`ok`) so ci.sh can gate on it:
 //!
 //! - zero errored requests,
 //! - hit rate at or above the trace's theoretical floor
@@ -18,16 +16,16 @@
 //!   source must miss exactly once, nothing else may),
 //! - hit latency distribution well-formed (p99 present and finite),
 //! - the server's `oi.metrics.v1` counters reconcile exactly with the
-//!   harness's own request/hit/miss/error tallies.
+//!   harness's own [`Tally`].
 
-use crate::client::RETRYABLE_KINDS;
-use crate::harness::time_once;
-use crate::serve::{Handled, ServeConfig, Server};
-use oi_support::cli::{Arg, ArgScanner};
-use oi_support::rng::XorShift64;
+// The benchmark package (`perfbench/src/serve.rs`) imports the sampler
+// by this path.
+pub use crate::scenario::ZipfSampler;
+
+use crate::scenario::{self, Flag, GateReport, Preset, Tally, Trace};
+use crate::serve::{ServeConfig, Server};
 use oi_support::stats::{percentile, TimingStats};
 use oi_support::Json;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Loadgen knobs (flags of `oic bench loadgen`).
 #[derive(Clone, Debug)]
@@ -62,6 +60,33 @@ impl Default for LoadgenConfig {
     }
 }
 
+/// The `oic bench loadgen` command.
+pub(crate) const PRESET: Preset<LoadgenConfig, LoadReport> = Preset {
+    name: "loadgen",
+    about: "Replays a seeded Zipf-skewed compile trace against an in-process
+server and emits oi.load.v1. --retries N re-attempts typed retryable
+refusals up to N times per request and records the outcome (attempts
+histogram, give-ups). Exits 1 when the gate fails (errored requests,
+hit rate under the trace's floor, or counters that do not
+reconcile).",
+    summary: "requests distinct_sources sampled_sources seed zipf_s hits \
+              misses errors give_ups hit_rate floor_hit_rate hit_p50_ns \
+              hit_p99_ns miss_p50_ns miss_p99_ns speedup_hit_p99_vs_miss_p50 \
+              reconciled",
+    flags: &[
+        Flag::Positive("requests", "N", |c, n| c.requests = n),
+        Flag::Positive("sources", "K", |c, n| c.sources = n),
+        Flag::Count("seed", "S", |c, n| c.seed = n),
+        Flag::Number("zipf-s", "X", |c, s| c.zipf_s = s),
+        Flag::Positive("cache-bytes", "B", |c, n| c.cache_bytes = n as usize),
+        Flag::Count("retries", "N", |c, n| {
+            c.retries = n.min(u64::from(u32::MAX)) as u32
+        }),
+    ],
+    check: |_| Ok(()),
+    run: |c| Ok(run_loadgen(c)),
+};
+
 /// The replay's outcome — everything `oi.load.v1` carries.
 #[derive(Clone, Debug)]
 pub struct LoadReport {
@@ -69,52 +94,50 @@ pub struct LoadReport {
     pub config: LoadgenConfig,
     /// Distinct source indices the trace actually touched.
     pub sampled_sources: u64,
-    /// Requests answered from the cache.
-    pub hits: u64,
-    /// Requests that compiled fresh.
-    pub misses: u64,
-    /// Requests answered `ok:false`.
-    pub errors: u64,
-    /// Requests that needed at least one re-attempt.
-    pub retried_requests: u64,
-    /// Re-attempts beyond each request's first try, summed.
-    pub retry_attempts: u64,
-    /// Requests whose final answer was still a retryable refusal after
-    /// the retry allowance ran out (each also counts in `errors`).
-    pub give_ups: u64,
-    /// `attempts -> requests that needed exactly that many attempts`.
-    pub attempts_histogram: BTreeMap<u32, u64>,
-    /// `hits / requests`.
-    pub hit_rate: f64,
-    /// The theoretical floor: `(requests - sampled_sources) / requests`.
-    pub floor_hit_rate: f64,
-    /// Robust summary of hit latencies (ns).
-    pub hit_ns: TimingStats,
-    /// Robust summary of miss (cold-compile) latencies (ns).
-    pub miss_ns: TimingStats,
-    /// Nearest-rank p50 of hit latencies (ns).
-    pub hit_p50_ns: u128,
-    /// Nearest-rank p99 of hit latencies (ns).
-    pub hit_p99_ns: u128,
-    /// Nearest-rank p50 of miss latencies (ns).
-    pub miss_p50_ns: u128,
-    /// Nearest-rank p99 of miss latencies (ns).
-    pub miss_p99_ns: u128,
-    /// `miss_p50 / hit_p99` — how much faster the *worst* typical hit is
-    /// than the *median* cold compile.
-    pub speedup_hit_p99_vs_miss_p50: f64,
-    /// Whether the server's metrics counters match the harness tallies
-    /// exactly.
+    /// The harness's tally of the replay, latency samples sorted.
+    pub tally: Tally,
+    /// Whether the server's metrics counters match the tally exactly.
     pub reconciled: bool,
     /// The server's final `oi.metrics.v1` document.
     pub metrics: Json,
-    /// The gate verdict (see module docs).
-    pub ok: bool,
 }
 
 impl LoadReport {
+    /// `hits / requests`.
+    pub fn hit_rate(&self) -> f64 {
+        scenario::ratio(self.tally.hits, self.config.requests)
+    }
+
+    /// The theoretical floor: `(requests - sampled_sources) / requests`.
+    pub fn floor_hit_rate(&self) -> f64 {
+        let requests = self.config.requests;
+        scenario::ratio(requests - self.sampled_sources, requests)
+    }
+
+    /// Nearest-rank `pct` percentile of hit latencies (ns).
+    pub fn hit_ns(&self, pct: f64) -> u128 {
+        percentile(&self.tally.hit_ns, pct)
+    }
+
+    /// Nearest-rank `pct` percentile of miss latencies (ns).
+    pub fn miss_ns(&self, pct: f64) -> u128 {
+        percentile(&self.tally.miss_ns, pct)
+    }
+
+    /// `miss p50 / hit p99` — how much faster the *worst* typical hit is
+    /// than the *median* cold compile.
+    pub fn speedup_hit_p99_vs_miss_p50(&self) -> f64 {
+        match self.hit_ns(99.0) {
+            0 => 0.0,
+            p99 => self.miss_ns(50.0) as f64 / p99 as f64,
+        }
+    }
+}
+
+impl GateReport for LoadReport {
     /// The report as a schema-stable `oi.load.v1` document.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
+        let t = &self.tally;
         Json::obj(vec![
             ("schema", "oi.load.v1".into()),
             ("requests", self.config.requests.into()),
@@ -123,94 +146,64 @@ impl LoadReport {
             ("seed", self.config.seed.into()),
             ("zipf_s", self.config.zipf_s.into()),
             ("cache_bytes", (self.config.cache_bytes as u64).into()),
-            ("hits", self.hits.into()),
-            ("misses", self.misses.into()),
-            ("errors", self.errors.into()),
-            ("retried_requests", self.retried_requests.into()),
-            ("retry_attempts", self.retry_attempts.into()),
-            ("give_ups", self.give_ups.into()),
+            ("hits", t.hits.into()),
+            ("misses", t.misses.into()),
+            ("errors", t.errors.into()),
+            ("retried_requests", t.retried_requests.into()),
+            ("retry_attempts", t.retry_attempts.into()),
+            ("give_ups", t.give_ups.into()),
             (
                 "attempts_histogram",
                 Json::Obj(
-                    self.attempts_histogram
+                    t.attempts_histogram
                         .iter()
                         .map(|(k, v)| (k.to_string(), Json::from(*v)))
                         .collect(),
                 ),
             ),
-            ("hit_rate", self.hit_rate.into()),
-            ("floor_hit_rate", self.floor_hit_rate.into()),
-            ("hit_ns", self.hit_ns.to_json()),
-            ("miss_ns", self.miss_ns.to_json()),
-            ("hit_p50_ns", (self.hit_p50_ns as u64).into()),
-            ("hit_p99_ns", (self.hit_p99_ns as u64).into()),
-            ("miss_p50_ns", (self.miss_p50_ns as u64).into()),
-            ("miss_p99_ns", (self.miss_p99_ns as u64).into()),
+            ("hit_rate", self.hit_rate().into()),
+            ("floor_hit_rate", self.floor_hit_rate().into()),
+            (
+                "hit_ns",
+                TimingStats::from_nanos(t.hit_ns.clone()).to_json(),
+            ),
+            (
+                "miss_ns",
+                TimingStats::from_nanos(t.miss_ns.clone()).to_json(),
+            ),
+            ("hit_p50_ns", (self.hit_ns(50.0) as u64).into()),
+            ("hit_p99_ns", (self.hit_ns(99.0) as u64).into()),
+            ("miss_p50_ns", (self.miss_ns(50.0) as u64).into()),
+            ("miss_p99_ns", (self.miss_ns(99.0) as u64).into()),
             (
                 "speedup_hit_p99_vs_miss_p50",
-                self.speedup_hit_p99_vs_miss_p50.into(),
+                self.speedup_hit_p99_vs_miss_p50().into(),
             ),
             ("reconciled", self.reconciled.into()),
             ("metrics", self.metrics.clone()),
-            ("ok", self.ok.into()),
+            ("ok", self.ok().into()),
         ])
     }
-}
 
-/// One distinct, deterministically generated compilable source. Index
-/// `i` varies class names and constants, so every source is
-/// byte-distinct (distinct cache key) but lands on the same tier.
-pub fn synthetic_source(i: u64) -> String {
-    format!(
-        "
-        global KEEP;
-        class Point{i} {{ field x; field y;
-          method init(a, b) {{ self.x = a; self.y = b; }}
-        }}
-        class Rect{i} {{ field ll; field ur;
-          method init(a, b) {{ self.ll = new Point{i}(a, a + {off}); self.ur = new Point{i}(b, b + 3); }}
-          method span() {{ return self.ur.x - self.ll.x + self.ur.y - self.ll.y; }}
-        }}
-        fn main() {{
-          var r = new Rect{i}({lo}, {hi});
-          KEEP = r;
-          print KEEP.span();
-        }}",
-        off = i % 5 + 1,
-        lo = i % 7 + 1,
-        hi = i % 11 + 10,
-    )
-}
-
-/// A seeded Zipf(s) sampler over `{0, .., n-1}`: rank `k` is drawn with
-/// probability proportional to `1 / (k + 1)^s`.
-pub struct ZipfSampler {
-    cumulative: Vec<f64>,
-    total: f64,
-}
-
-impl ZipfSampler {
-    /// A sampler over `n` ranks with skew `s`.
-    pub fn new(n: u64, s: f64) -> ZipfSampler {
-        let mut cumulative = Vec::with_capacity(n.max(1) as usize);
-        let mut total = 0.0;
-        for k in 0..n.max(1) {
-            total += 1.0 / ((k + 1) as f64).powf(s);
-            cumulative.push(total);
+    fn failures(&self) -> Vec<String> {
+        let mut fails = Vec::new();
+        if self.tally.errors > 0 {
+            fails.push(format!("{} errored requests", self.tally.errors));
         }
-        ZipfSampler { cumulative, total }
-    }
-
-    /// Draws one rank using `rng`.
-    pub fn sample(&self, rng: &mut XorShift64) -> u64 {
-        let u = (rng.next_u64() as f64 / u64::MAX as f64) * self.total;
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cumulative weights are finite"))
-        {
-            Ok(i) => i as u64,
-            Err(i) => (i as u64).min(self.cumulative.len() as u64 - 1),
+        if self.hit_rate() < self.floor_hit_rate() {
+            fails.push(format!(
+                "hit rate {:.4} under the trace floor {:.4}",
+                self.hit_rate(),
+                self.floor_hit_rate()
+            ));
         }
+        if self.tally.hits > 0 && self.hit_ns(99.0) == 0 {
+            fails.push("hits recorded no p99 latency".to_string());
+        }
+        if !self.reconciled {
+            fails.push("server counters do not reconcile with the tally".to_string());
+        }
+        fails
     }
 }
 
@@ -228,324 +221,23 @@ pub fn run_loadgen(config: &LoadgenConfig) -> LoadReport {
 /// lets harnesses pre-condition the server (force a brownout tier, warm
 /// the cache) before the replay.
 pub fn run_loadgen_on(server: &Server, config: &LoadgenConfig) -> LoadReport {
-    let sources: Vec<String> = (0..config.sources).map(synthetic_source).collect();
-    let sampler = ZipfSampler::new(config.sources, config.zipf_s);
-    let mut rng = XorShift64::new(config.seed);
-
-    let mut sampled: BTreeSet<u64> = BTreeSet::new();
-    let (mut hits, mut misses, mut errors) = (0u64, 0u64, 0u64);
-    let mut retried_requests = 0u64;
-    let mut retry_attempts = 0u64;
-    let mut give_ups = 0u64;
-    let mut attempts_histogram: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut hit_samples: Vec<u128> = Vec::new();
-    let mut miss_samples: Vec<u128> = Vec::new();
-
-    for request_id in 0..config.requests {
-        let rank = sampler.sample(&mut rng);
-        sampled.insert(rank);
-        let line = Json::obj(vec![
-            ("id", request_id.into()),
-            ("op", "compile".into()),
-            ("source", sources[rank as usize].as_str().into()),
-        ])
-        .to_string();
-        let mut attempts = 0u32;
-        let (handled, wall) = loop {
-            let (handled, wall): (Handled, _) = time_once(|| server.handle_line(&line));
-            attempts += 1;
-            let retryable = RETRYABLE_KINDS.contains(
-                &handled
-                    .response
-                    .get("error_kind")
-                    .and_then(Json::as_str)
-                    .unwrap_or(""),
-            );
-            if !retryable || attempts > config.retries {
-                break (handled, wall);
-            }
-        };
-        *attempts_histogram.entry(attempts).or_insert(0) += 1;
-        if attempts > 1 {
-            retried_requests += 1;
-            retry_attempts += u64::from(attempts - 1);
-        }
-        let cache_state = handled
-            .response
-            .get("cache")
-            .and_then(Json::as_str)
-            .unwrap_or("none")
-            .to_string();
-        server.observe_total(&cache_state, wall.median);
-        let ok = handled
-            .response
-            .get("ok")
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
-        if !ok {
-            errors += 1;
-            let still_retryable = RETRYABLE_KINDS.contains(
-                &handled
-                    .response
-                    .get("error_kind")
-                    .and_then(Json::as_str)
-                    .unwrap_or(""),
-            );
-            if still_retryable {
-                give_ups += 1;
-            }
-            continue;
-        }
-        match cache_state.as_str() {
-            "hit" => {
-                hits += 1;
-                hit_samples.push(wall.median);
-            }
-            _ => {
-                misses += 1;
-                miss_samples.push(wall.median);
-            }
-        }
-    }
-
-    hit_samples.sort_unstable();
-    miss_samples.sort_unstable();
-    let hit_p50_ns = percentile(&hit_samples, 50.0);
-    let hit_p99_ns = percentile(&hit_samples, 99.0);
-    let miss_p50_ns = percentile(&miss_samples, 50.0);
-    let miss_p99_ns = percentile(&miss_samples, 99.0);
-
-    let metrics = server.metrics().to_json();
-    let metric = |name: &str| {
-        metrics
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_i64)
-            .unwrap_or(0) as u64
-    };
-    // Exact reconciliation: the server's own counters must agree with
-    // the harness's independent tallies, request for request. Every
-    // re-attempt is its own server-side request, and every attempt
-    // before a re-attempt was a refusal the server counted as an error.
-    let reconciled = metric("cache.hits") == hits
-        && metric("cache.misses") == misses
-        && metric("serve.requests") == config.requests + retry_attempts
-        && metric("serve.errors") == errors + retry_attempts;
-
-    let hit_rate = if config.requests == 0 {
-        0.0
-    } else {
-        hits as f64 / config.requests as f64
-    };
-    let floor_hit_rate = if config.requests == 0 {
-        0.0
-    } else {
-        (config.requests - sampled.len() as u64) as f64 / config.requests as f64
-    };
-    let ok =
-        errors == 0 && hit_rate >= floor_hit_rate && (hits == 0 || hit_p99_ns > 0) && reconciled;
-
+    let trace = Trace::zipf(config.sources, config.zipf_s, config.seed, config.requests);
+    let mut tally = scenario::replay(server, &trace, 0..trace.ranks.len(), config.retries, None);
+    let reconciled = tally.reconcile(server.metrics());
+    tally.hit_ns.sort_unstable();
+    tally.miss_ns.sort_unstable();
     LoadReport {
         config: config.clone(),
-        sampled_sources: sampled.len() as u64,
-        hits,
-        misses,
-        errors,
-        retried_requests,
-        retry_attempts,
-        give_ups,
-        attempts_histogram,
-        hit_rate,
-        floor_hit_rate,
-        hit_ns: TimingStats::from_nanos(hit_samples),
-        miss_ns: TimingStats::from_nanos(miss_samples),
-        hit_p50_ns,
-        hit_p99_ns,
-        miss_p50_ns,
-        miss_p99_ns,
-        speedup_hit_p99_vs_miss_p50: if hit_p99_ns == 0 {
-            0.0
-        } else {
-            miss_p50_ns as f64 / hit_p99_ns as f64
-        },
+        sampled_sources: trace.sampled(),
+        tally,
         reconciled,
-        metrics,
-        ok,
-    }
-}
-
-const USAGE: &str = "usage: oic bench loadgen [--requests N] [--sources K] [--seed S] \
-     [--zipf-s X] [--cache-bytes B] [--retries N] [--json] [--out FILE]\n\
-     \n\
-     Replays a seeded Zipf-skewed compile trace against an in-process\n\
-     server and emits oi.load.v1. --retries N re-attempts typed retryable\n\
-     refusals up to N times per request and records the outcome (attempts\n\
-     histogram, give-ups). Exits 1 when the gate fails (errored requests,\n\
-     hit rate under the trace's floor, or counters that do not\n\
-     reconcile).";
-
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("oic bench loadgen: {msg}\n\n{USAGE}");
-    2
-}
-
-/// Entry point for `oic bench loadgen`. Returns the process exit code.
-pub fn cli_main(args: &[String]) -> u8 {
-    let mut config = LoadgenConfig::default();
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(a) => a,
-            Err(e) => return usage_error(&e),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "json" => json = true,
-                "requests" => match flag_u64(&mut scanner, "--requests") {
-                    Ok(n) => config.requests = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "sources" => match flag_u64(&mut scanner, "--sources") {
-                    Ok(n) => config.sources = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "seed" => match flag_u64(&mut scanner, "--seed") {
-                    Ok(n) => config.seed = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "cache-bytes" => match flag_u64(&mut scanner, "--cache-bytes") {
-                    Ok(n) => config.cache_bytes = n as usize,
-                    Err(e) => return usage_error(&e),
-                },
-                "retries" => match flag_u64(&mut scanner, "--retries") {
-                    Ok(n) => config.retries = n.min(u64::from(u32::MAX)) as u32,
-                    Err(e) => return usage_error(&e),
-                },
-                "zipf-s" => {
-                    let v = scanner.value_for("--zipf-s").unwrap_or_default();
-                    match v.parse::<f64>() {
-                        Ok(s) if s.is_finite() && s >= 0.0 => config.zipf_s = s,
-                        _ => {
-                            return usage_error(&format!(
-                                "`--zipf-s` needs a non-negative number, got `{v}`"
-                            ))
-                        }
-                    }
-                }
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) if !path.is_empty() => out = Some(path),
-                    _ => return usage_error("`--out` needs a file path"),
-                },
-                _ => return usage_error(&format!("unknown flag `--{name}`")),
-            },
-            Arg::Flag {
-                name,
-                value: Some(value),
-            } => return usage_error(&format!("unknown flag `--{name}={value}`")),
-            Arg::Positional(p) => {
-                return usage_error(&format!("unexpected positional argument `{p}`"))
-            }
-        }
-    }
-
-    let report = run_loadgen(&config);
-    let doc = report.to_json();
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("oic bench loadgen: cannot write {path}: {e}");
-            return 1;
-        }
-    }
-    if json {
-        println!("{doc}");
-    } else {
-        println!(
-            "loadgen: {} requests over {} sources (seed {}, zipf {}): \
-             {} hits / {} misses / {} errors, hit rate {:.4} (floor {:.4})",
-            report.config.requests,
-            report.config.sources,
-            report.config.seed,
-            report.config.zipf_s,
-            report.hits,
-            report.misses,
-            report.errors,
-            report.hit_rate,
-            report.floor_hit_rate,
-        );
-        println!(
-            "  hit  p50 {} ns, p99 {} ns\n  miss p50 {} ns, p99 {} ns  \
-             (hit p99 is {:.1}x under miss p50)",
-            report.hit_p50_ns,
-            report.hit_p99_ns,
-            report.miss_p50_ns,
-            report.miss_p99_ns,
-            report.speedup_hit_p99_vs_miss_p50,
-        );
-        if report.config.retries > 0 {
-            println!(
-                "  retried {} request(s) ({} re-attempts), {} give-up(s)",
-                report.retried_requests, report.retry_attempts, report.give_ups,
-            );
-        }
-        println!(
-            "  counters reconciled: {}; gate: {}",
-            report.reconciled,
-            if report.ok { "ok" } else { "FAILED" }
-        );
-    }
-    if report.ok {
-        0
-    } else {
-        eprintln!("oic bench loadgen: gate failed (see report)");
-        1
-    }
-}
-
-/// Parses the positive-integer value of `flag`.
-fn flag_u64(scanner: &mut ArgScanner, flag: &str) -> Result<u64, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("`{flag}` needs a positive integer, got `{v}`")),
+        metrics: server.metrics().to_json(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn synthetic_sources_are_distinct_and_compile() {
-        let mut seen = BTreeSet::new();
-        for i in 0..50 {
-            let src = synthetic_source(i);
-            assert!(seen.insert(src.clone()), "source {i} not distinct");
-            oi_ir::lower::compile(&src).unwrap_or_else(|e| {
-                panic!("source {i} must compile: {}", e.render(&src));
-            });
-        }
-    }
-
-    #[test]
-    fn zipf_sampler_is_deterministic_and_skewed() {
-        let sampler = ZipfSampler::new(50, 1.0);
-        let draw = |seed: u64| -> Vec<u64> {
-            let mut rng = XorShift64::new(seed);
-            (0..1000).map(|_| sampler.sample(&mut rng)).collect()
-        };
-        assert_eq!(draw(1), draw(1), "same seed, same trace");
-        assert_ne!(draw(1), draw(2), "different seed, different trace");
-        let trace = draw(1);
-        assert!(trace.iter().all(|&r| r < 50));
-        let head = trace.iter().filter(|&&r| r == 0).count();
-        let tail = trace.iter().filter(|&&r| r == 49).count();
-        assert!(
-            head > tail,
-            "rank 0 ({head}) should dominate rank 49 ({tail})"
-        );
-    }
 
     #[test]
     fn small_replay_meets_the_gate() {
@@ -556,12 +248,15 @@ mod tests {
             ..LoadgenConfig::default()
         };
         let report = run_loadgen(&config);
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.hits + report.misses, 200);
-        assert_eq!(report.misses, report.sampled_sources, "one miss per source");
-        assert!(report.hit_rate >= report.floor_hit_rate);
+        assert_eq!(report.tally.errors, 0);
+        assert_eq!(report.tally.hits + report.tally.misses, 200);
+        assert_eq!(
+            report.tally.misses, report.sampled_sources,
+            "one miss per source"
+        );
+        assert!(report.hit_rate() >= report.floor_hit_rate());
         assert!(report.reconciled, "metrics must reconcile with tallies");
-        assert!(report.ok);
+        assert!(report.ok());
         let doc = report.to_json();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some("oi.load.v1"));
         assert_eq!(
@@ -583,8 +278,18 @@ mod tests {
         let a = run_loadgen(&config);
         let b = run_loadgen(&config);
         assert_eq!(
-            (a.hits, a.misses, a.errors, a.sampled_sources),
-            (b.hits, b.misses, b.errors, b.sampled_sources)
+            (
+                a.tally.hits,
+                a.tally.misses,
+                a.tally.errors,
+                a.sampled_sources
+            ),
+            (
+                b.tally.hits,
+                b.tally.misses,
+                b.tally.errors,
+                b.sampled_sources
+            )
         );
     }
 
@@ -607,12 +312,15 @@ mod tests {
             ..LoadgenConfig::default()
         };
         let report = run_loadgen_on(&server, &config);
-        assert_eq!(report.errors, 6, "cold cache-only sheds everything");
-        assert_eq!(report.give_ups, 6);
-        assert_eq!(report.retried_requests, 6);
-        assert_eq!(report.retry_attempts, 12, "two re-attempts per request");
-        assert_eq!(report.attempts_histogram.get(&3), Some(&6));
-        assert!(!report.ok, "a run that gave up must fail the gate");
+        assert_eq!(report.tally.errors, 6, "cold cache-only sheds everything");
+        assert_eq!(report.tally.give_ups, 6);
+        assert_eq!(report.tally.retried_requests, 6);
+        assert_eq!(
+            report.tally.retry_attempts, 12,
+            "two re-attempts per request"
+        );
+        assert_eq!(report.tally.attempts_histogram.get(&3), Some(&6));
+        assert!(!report.ok(), "a run that gave up must fail the gate");
         let doc = report.to_json();
         assert_eq!(doc.get("give_ups").and_then(Json::as_i64), Some(6));
         assert_eq!(
@@ -633,11 +341,11 @@ mod tests {
             seed: 2,
             ..LoadgenConfig::default()
         });
-        assert_eq!(report.retried_requests, 0);
-        assert_eq!(report.retry_attempts, 0);
-        assert_eq!(report.give_ups, 0);
-        assert_eq!(report.attempts_histogram.get(&1), Some(&50));
-        assert!(report.ok);
+        assert_eq!(report.tally.retried_requests, 0);
+        assert_eq!(report.tally.retry_attempts, 0);
+        assert_eq!(report.tally.give_ups, 0);
+        assert_eq!(report.tally.attempts_histogram.get(&1), Some(&50));
+        assert!(report.ok());
     }
 
     /// The acceptance-criteria replay: 10k requests, Zipf over 50
@@ -646,26 +354,26 @@ mod tests {
     #[test]
     fn acceptance_ten_thousand_request_replay() {
         let report = run_loadgen(&LoadgenConfig::default());
-        assert_eq!(report.errors, 0, "zero errored requests");
+        assert_eq!(report.tally.errors, 0, "zero errored requests");
         assert!(
-            report.hit_rate >= 0.9,
+            report.hit_rate() >= 0.9,
             "hit rate {} under 0.9",
-            report.hit_rate
+            report.hit_rate()
         );
         assert!(
-            report.hit_rate >= report.floor_hit_rate,
+            report.hit_rate() >= report.floor_hit_rate(),
             "hit rate {} under floor {}",
-            report.hit_rate,
-            report.floor_hit_rate
+            report.hit_rate(),
+            report.floor_hit_rate()
         );
-        assert!(report.hit_p99_ns > 0, "p99 must be a real latency");
+        assert!(report.hit_ns(99.0) > 0, "p99 must be a real latency");
         assert!(
-            report.speedup_hit_p99_vs_miss_p50 >= 10.0,
+            report.speedup_hit_p99_vs_miss_p50() >= 10.0,
             "cache hits must be >= 10x faster (p99 {} ns vs cold p50 {} ns)",
-            report.hit_p99_ns,
-            report.miss_p50_ns
+            report.hit_ns(99.0),
+            report.miss_ns(50.0)
         );
         assert!(report.reconciled, "metrics counters must reconcile exactly");
-        assert!(report.ok);
+        assert!(report.ok());
     }
 }

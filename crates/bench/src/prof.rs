@@ -419,20 +419,8 @@ pub fn cli_main(args: &[String]) -> u8 {
         Format::Json => format!("{}\n", report.to_json()),
         Format::Collapse => report.to_collapse(),
     };
-    match out {
-        Some(out_path) => {
-            if let Err(e) = std::fs::write(&out_path, rendered) {
-                eprintln!("cannot write {out_path}: {e}");
-                return 1;
-            }
-            eprintln!("wrote {out_path}");
-            0
-        }
-        None => {
-            print!("{rendered}");
-            0
-        }
-    }
+    let rendered = rendered.strip_suffix('\n').unwrap_or(&rendered);
+    crate::cli::write_out(rendered, out.as_deref())
 }
 
 fn usage_error(msg: &str) -> u8 {

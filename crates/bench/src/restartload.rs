@@ -1,11 +1,11 @@
 //! `oic bench restartload` — crash-recovery load replay against the
 //! persistent artifact tier.
 //!
-//! The harness replays a seeded Zipf-skewed compile trace (the same
-//! generator as [`crate::loadgen`]) against an in-process server backed
-//! by a `--cache-dir` disk tier, **killing the server at fixed points**
-//! along the trace and restarting it over the same directory. A kill is
-//! unclean by construction: the write-behind persister stops without the
+//! A preset over [`crate::scenario`]: the seeded Zipf [`Trace`] that
+//! `loadgen` replays, served by `kills + 1` server lifetimes over one
+//! `--cache-dir` disk tier. Each lifetime but the last **is killed** and
+//! the next restarts over the same directory. A kill is unclean by
+//! construction: the write-behind persister stops without the
 //! clean-shutdown journal compaction, and the journal's tail is then
 //! torn mid-record — exactly the state an abrupt process death leaves
 //! behind. Every restart therefore runs the full recovery path before
@@ -19,9 +19,8 @@
 //!   for its source; a recovered-from-disk artifact that decodes to
 //!   anything else is corruption,
 //! - **zero errored requests**,
-//! - **exact hit-rate reconciliation** — the harness's own per-segment
-//!   hit/disk/miss tallies must match the server's `oi.metrics.v1`
-//!   counters request for request,
+//! - **exact hit-rate reconciliation** — each segment's [`Tally`] must
+//!   match that server's `oi.metrics.v1` counters request for request,
 //! - **recovery evidence** — every restarted segment must attach the
 //!   disk tier and report the torn journal tail it was handed
 //!   (`serve.recovery_journal_truncated`),
@@ -30,12 +29,10 @@
 //!   `0.8×` the pre-kill steady-state rate. Warm restarts that silently
 //!   quarantine everything and recompile the world fail this gate.
 
-use crate::loadgen::{synthetic_source, ZipfSampler};
+use crate::scenario::{self, classify, Flag, GateReport, Preset, Tally, Trace};
 use crate::serve::{ServeConfig, Server};
 use oi_core::cache::store::DiskStore;
 use oi_core::IoFault;
-use oi_support::cli::{Arg, ArgScanner};
-use oi_support::rng::XorShift64;
 use oi_support::Json;
 use std::path::{Path, PathBuf};
 
@@ -77,28 +74,54 @@ impl Default for RestartConfig {
     }
 }
 
+/// The `oic bench restartload` command.
+pub(crate) const PRESET: Preset<RestartConfig, RestartReport> = Preset {
+    name: "restartload",
+    about: "Replays a seeded Zipf compile trace against a --cache-dir compile
+server, killing it uncleanly at M points (torn journal tail, no
+compaction) and restarting over the same directory. Emits
+oi.restart.v1 and exits 1 when the gate fails: any corrupt or
+errored serve, counters that do not reconcile, a restart that
+misses recovery evidence, or a post-kill hit rate under 0.8x the
+pre-kill steady state. DIR is recreated empty; the default is a
+temp directory removed after the run.",
+    summary: "requests distinct_sources seed kills prekill_rate \
+              warm_rate_min warm_floor corrupt_total error_total reconciled \
+              recovered",
+    flags: &[
+        Flag::Positive("requests", "N", |c, n| c.requests = n),
+        Flag::Positive("sources", "K", |c, n| c.sources = n),
+        Flag::Count("seed", "S", |c, n| c.seed = n),
+        Flag::Number("zipf-s", "X", |c, s| c.zipf_s = s),
+        Flag::Positive("kills", "M", |c, n| c.kills = n),
+        Flag::Positive("cache-bytes", "B", |c, n| c.cache_bytes = n as usize),
+        Flag::Positive("disk-bytes", "B", |c, n| c.disk_bytes = n),
+        Flag::Path("cache-dir", "DIR", |c, dir| c.cache_dir = Some(dir)),
+    ],
+    check: check_kills,
+    run: run_restartload,
+};
+
+/// Every segment needs at least two requests.
+fn check_kills(config: &RestartConfig) -> Result<(), String> {
+    if config.requests < (config.kills + 1) * 2 {
+        return Err(format!(
+            "{} requests cannot cover {} kills (need at least 2 per segment)",
+            config.requests, config.kills
+        ));
+    }
+    Ok(())
+}
+
 /// One server lifetime between kills (or between a kill and the end of
 /// the trace).
 #[derive(Clone, Debug)]
 pub struct Segment {
     /// Segment index (0 is the cold pre-kill segment).
     pub index: u64,
-    /// Requests replayed in this segment.
-    pub requests: u64,
-    /// Served from the in-memory cache.
-    pub hits: u64,
-    /// Served from the verified disk tier.
-    pub disk_hits: u64,
-    /// Compiled fresh.
-    pub misses: u64,
-    /// Answered `ok:false`.
-    pub errors: u64,
-    /// Successful responses whose payload differed from the reference
-    /// compile of the same source.
-    pub corrupt: u64,
-    /// `(hits + disk_hits) / requests`.
-    pub hit_rate: f64,
-    /// Whether the server's counters matched the tallies exactly.
+    /// The harness's tally of this segment's requests.
+    pub tally: Tally,
+    /// Whether the server's counters matched the tally exactly.
     pub reconciled: bool,
     /// Whether the disk tier attached (recovery reached serving state).
     pub disk_attached: bool,
@@ -117,15 +140,16 @@ pub struct Segment {
 
 impl Segment {
     fn to_json(&self) -> Json {
+        let t = &self.tally;
         Json::obj(vec![
             ("index", self.index.into()),
-            ("requests", self.requests.into()),
-            ("hits", self.hits.into()),
-            ("disk_hits", self.disk_hits.into()),
-            ("misses", self.misses.into()),
-            ("errors", self.errors.into()),
-            ("corrupt", self.corrupt.into()),
-            ("hit_rate", self.hit_rate.into()),
+            ("requests", t.requests.into()),
+            ("hits", t.hits.into()),
+            ("disk_hits", t.disk_hits.into()),
+            ("misses", t.misses.into()),
+            ("errors", t.errors.into()),
+            ("corrupt", t.corrupt.into()),
+            ("hit_rate", t.hit_rate().into()),
             ("reconciled", self.reconciled.into()),
             ("disk_attached", self.disk_attached.into()),
             ("recovered_torn_tail", self.recovered_torn_tail.into()),
@@ -144,27 +168,41 @@ pub struct RestartReport {
     pub config: RestartConfig,
     /// One entry per server lifetime.
     pub segments: Vec<Segment>,
-    /// Segment 0's hit rate — the pre-kill steady state.
-    pub prekill_rate: f64,
-    /// The worst post-kill segment hit rate.
-    pub warm_rate_min: f64,
-    /// The gate floor: `0.8 × prekill_rate`.
-    pub warm_floor: f64,
-    /// Corrupt serves across all segments (the gate demands 0).
-    pub corrupt_total: u64,
-    /// Errors across all segments.
-    pub error_total: u64,
-    /// Whether every segment reconciled exactly.
-    pub reconciled: bool,
-    /// Whether every restart attached the tier and saw the torn tail.
-    pub recovered: bool,
-    /// The gate verdict (see module docs).
-    pub ok: bool,
 }
 
 impl RestartReport {
+    /// Segment 0's hit rate — the pre-kill steady state.
+    pub fn prekill_rate(&self) -> f64 {
+        self.segments[0].tally.hit_rate()
+    }
+
+    /// The worst post-kill segment hit rate.
+    pub fn warm_rate_min(&self) -> f64 {
+        let warm = self.segments[1..].iter().map(|s| s.tally.hit_rate());
+        warm.reduce(f64::min).unwrap_or(self.prekill_rate())
+    }
+
+    /// `f` summed over every segment's tally.
+    pub fn total(&self, f: impl Fn(&Tally) -> u64) -> u64 {
+        self.segments.iter().map(|s| f(&s.tally)).sum()
+    }
+
+    /// Whether every segment reconciled exactly.
+    pub fn reconciled(&self) -> bool {
+        self.segments.iter().all(|s| s.reconciled)
+    }
+
+    /// Segment 0 opens a fresh directory; every later segment must both
+    /// attach the tier and report the torn tail its predecessor left.
+    pub fn recovered(&self) -> bool {
+        self.segments.iter().all(|s| s.disk_attached)
+            && self.segments[1..].iter().all(|s| s.recovered_torn_tail)
+    }
+}
+
+impl GateReport for RestartReport {
     /// The report as a schema-stable `oi.restart.v1` document.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         Json::obj(vec![
             ("schema", "oi.restart.v1".into()),
             ("requests", self.config.requests.into()),
@@ -178,15 +216,44 @@ impl RestartReport {
                 "segments",
                 Json::Arr(self.segments.iter().map(Segment::to_json).collect()),
             ),
-            ("prekill_rate", self.prekill_rate.into()),
-            ("warm_rate_min", self.warm_rate_min.into()),
-            ("warm_floor", self.warm_floor.into()),
-            ("corrupt_total", self.corrupt_total.into()),
-            ("error_total", self.error_total.into()),
-            ("reconciled", self.reconciled.into()),
-            ("recovered", self.recovered.into()),
-            ("ok", self.ok.into()),
+            ("prekill_rate", self.prekill_rate().into()),
+            ("warm_rate_min", self.warm_rate_min().into()),
+            ("warm_floor", (0.8 * self.prekill_rate()).into()),
+            ("corrupt_total", self.total(|t| t.corrupt).into()),
+            ("error_total", self.total(|t| t.errors).into()),
+            ("reconciled", self.reconciled().into()),
+            ("recovered", self.recovered().into()),
+            ("ok", self.ok().into()),
         ])
+    }
+
+    fn failures(&self) -> Vec<String> {
+        let (prekill, warm) = (self.prekill_rate(), self.warm_rate_min());
+        let mut fails = Vec::new();
+        for (n, what) in [
+            (self.total(|t| t.corrupt), "corrupt serves"),
+            (self.total(|t| t.errors), "errored requests"),
+        ] {
+            if n > 0 {
+                fails.push(format!("{n} {what}"));
+            }
+        }
+        if !self.reconciled() {
+            fails.push("server counters do not reconcile with the tally".to_string());
+        }
+        if !self.recovered() {
+            fails.push("a restart missed recovery evidence".to_string());
+        }
+        if prekill <= 0.0 {
+            fails.push("the pre-kill segment served no hits".to_string());
+        }
+        if warm < 0.8 * prekill {
+            fails.push(format!(
+                "warm hit rate {warm:.4} under the floor {:.4}",
+                0.8 * prekill
+            ));
+        }
+        fails
     }
 }
 
@@ -201,38 +268,22 @@ fn reference_payloads(config: &RestartConfig, sources: &[String]) -> Result<Vec<
         .iter()
         .enumerate()
         .map(|(i, source)| {
-            let line = compile_line(i as u64, source);
-            let handled = server.handle_line(&line);
-            let ok = handled
-                .response
-                .get("ok")
-                .and_then(Json::as_bool)
-                .unwrap_or(false);
-            if !ok {
+            let response = server
+                .handle_line(&scenario::compile_line(i as u64, source))
+                .response;
+            if !classify(&response).is_ok() {
                 return Err(format!("reference compile of source {i} failed"));
             }
-            Ok(handled
-                .response
-                .get("payload")
-                .map(Json::to_string)
-                .unwrap_or_default())
+            Ok(scenario::payload(&response))
         })
         .collect()
-}
-
-fn compile_line(id: u64, source: &str) -> String {
-    Json::obj(vec![
-        ("id", id.into()),
-        ("op", "compile".into()),
-        ("source", source.into()),
-    ])
-    .to_string()
 }
 
 /// Replays the configured trace with unclean kills and returns the full
 /// report. The directory is recreated empty first, so the run always
 /// starts cold; a harness-created temp directory is removed afterwards.
 pub fn run_restartload(config: &RestartConfig) -> Result<RestartReport, String> {
+    check_kills(config)?;
     // Process-unique temp dirs: concurrent harness runs (parallel tests)
     // must not share a store directory.
     static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -259,90 +310,34 @@ pub fn run_restartload(config: &RestartConfig) -> Result<RestartReport, String> 
 }
 
 fn replay(config: &RestartConfig, dir: &Path) -> Result<RestartReport, String> {
-    if config.requests < (config.kills + 1) * 2 {
-        return Err(format!(
-            "{} requests cannot cover {} kills (need at least 2 per segment)",
-            config.requests, config.kills
-        ));
-    }
-    let sources: Vec<String> = (0..config.sources).map(synthetic_source).collect();
-    let expected = reference_payloads(config, &sources)?;
-
-    // The whole trace is drawn up front; kills only decide which server
-    // lifetime serves which span of it.
-    let sampler = ZipfSampler::new(config.sources, config.zipf_s);
-    let mut rng = XorShift64::new(config.seed);
-    let trace: Vec<u64> = (0..config.requests)
-        .map(|_| sampler.sample(&mut rng))
-        .collect();
+    let trace = Trace::zipf(config.sources, config.zipf_s, config.seed, config.requests);
+    let expected = reference_payloads(config, &trace.sources)?;
     let segment_count = config.kills + 1;
-    let base = config.requests / segment_count;
-
-    let mut segments = Vec::new();
-    let mut cursor = 0usize;
-    for index in 0..segment_count {
-        let len = if index == segment_count - 1 {
-            config.requests as usize - cursor
-        } else {
-            base as usize
-        };
-        let span = &trace[cursor..cursor + len];
-        let killed = index + 1 < segment_count;
-        segments.push(run_segment(
-            config, dir, index, cursor, span, &sources, &expected, killed,
-        ));
-        cursor += len;
-    }
-
-    let prekill_rate = segments[0].hit_rate;
-    let warm: Vec<&Segment> = segments.iter().skip(1).collect();
-    let warm_rate_min = warm
-        .iter()
-        .map(|s| s.hit_rate)
-        .fold(f64::INFINITY, f64::min)
-        .min(if warm.is_empty() {
-            prekill_rate
-        } else {
-            f64::INFINITY
-        });
-    let warm_floor = 0.8 * prekill_rate;
-    let corrupt_total: u64 = segments.iter().map(|s| s.corrupt).sum();
-    let error_total: u64 = segments.iter().map(|s| s.errors).sum();
-    let reconciled = segments.iter().all(|s| s.reconciled);
-    // Segment 0 opens a fresh directory; every later segment must both
-    // attach the tier and report the torn tail its predecessor left.
-    let recovered = segments.iter().all(|s| s.disk_attached)
-        && segments.iter().skip(1).all(|s| s.recovered_torn_tail);
-
-    let ok = corrupt_total == 0
-        && error_total == 0
-        && reconciled
-        && recovered
-        && prekill_rate > 0.0
-        && warm_rate_min >= warm_floor;
-
+    let base = (config.requests / segment_count) as usize;
+    let segments: Vec<Segment> = (0..segment_count)
+        .map(|index| {
+            let start = index as usize * base;
+            let killed = index + 1 < segment_count;
+            let end = if killed {
+                start + base
+            } else {
+                trace.ranks.len()
+            };
+            run_segment(config, dir, index, &trace, start..end, &expected, killed)
+        })
+        .collect();
     Ok(RestartReport {
         config: config.clone(),
         segments,
-        prekill_rate,
-        warm_rate_min,
-        warm_floor,
-        corrupt_total,
-        error_total,
-        reconciled,
-        recovered,
-        ok,
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_segment(
     config: &RestartConfig,
     dir: &Path,
     index: u64,
-    first_id: usize,
-    span: &[u64],
-    sources: &[String],
+    trace: &Trace,
+    span: std::ops::Range<usize>,
     expected: &[String],
     kill: bool,
 ) -> Segment {
@@ -352,53 +347,20 @@ fn run_segment(
         disk_bytes: config.disk_bytes,
         ..ServeConfig::default()
     });
-    let disk_attached = server.disk().is_some();
     let metrics = server.metrics();
-    let recovered_torn_tail = metrics.counter("serve.recovery_journal_truncated") == 1;
-    let entries_recovered = metrics.counter("serve.recovery_entries_kept");
-    let quarantined = metrics.counter("serve.recovery_quarantined");
-    let orphans_adopted = metrics.counter("serve.recovery_orphans_adopted");
-
-    let (mut hits, mut disk_hits, mut misses, mut errors, mut corrupt) = (0u64, 0, 0, 0, 0);
-    for (offset, &rank) in span.iter().enumerate() {
-        let line = compile_line((first_id + offset) as u64, &sources[rank as usize]);
-        let handled = server.handle_line(&line);
-        let ok = handled
-            .response
-            .get("ok")
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
-        if !ok {
-            errors += 1;
-            continue;
-        }
-        match handled.response.get("cache").and_then(Json::as_str) {
-            Some("hit") => hits += 1,
-            Some("disk") => disk_hits += 1,
-            _ => misses += 1,
-        }
-        let payload = handled
-            .response
-            .get("payload")
-            .map(Json::to_string)
-            .unwrap_or_default();
-        if payload != expected[rank as usize] {
-            corrupt += 1;
-        }
-    }
-
-    let requests = span.len() as u64;
-    let reconciled = metrics.counter("serve.requests") == requests
-        && metrics.counter("cache.hits") == hits
-        && metrics.counter("disk.load_hits") == disk_hits
-        && metrics.counter("cache.misses") == disk_hits + misses
-        && hits + disk_hits + misses + errors == requests;
-    let hit_rate = if requests == 0 {
-        0.0
-    } else {
-        (hits + disk_hits) as f64 / requests as f64
+    let mut segment = Segment {
+        index,
+        tally: Tally::default(),
+        reconciled: false,
+        disk_attached: server.disk().is_some(),
+        recovered_torn_tail: metrics.counter("serve.recovery_journal_truncated") == 1,
+        entries_recovered: metrics.counter("serve.recovery_entries_kept"),
+        quarantined: metrics.counter("serve.recovery_quarantined"),
+        orphans_adopted: metrics.counter("serve.recovery_orphans_adopted"),
+        killed: kill,
     };
-
+    segment.tally = scenario::replay(&server, trace, span, 0, Some(expected));
+    segment.reconciled = segment.tally.reconcile(metrics);
     if kill {
         server.simulate_kill();
         // Tear the journal's tail mid-record: the on-disk state of a
@@ -408,180 +370,7 @@ fn run_segment(
     } else {
         server.flush_disk();
     }
-
-    Segment {
-        index,
-        requests,
-        hits,
-        disk_hits,
-        misses,
-        errors,
-        corrupt,
-        hit_rate,
-        reconciled,
-        disk_attached,
-        recovered_torn_tail,
-        entries_recovered,
-        quarantined,
-        orphans_adopted,
-        killed: kill,
-    }
-}
-
-const USAGE: &str = "usage: oic bench restartload [--requests N] [--sources K] [--seed S] \
-     [--zipf-s X] [--kills M] [--cache-bytes B] [--disk-bytes B] \
-     [--cache-dir DIR] [--json] [--out FILE]\n\
-     \n\
-     Replays a seeded Zipf compile trace against a --cache-dir compile\n\
-     server, killing it uncleanly at M points (torn journal tail, no\n\
-     compaction) and restarting over the same directory. Emits\n\
-     oi.restart.v1 and exits 1 when the gate fails: any corrupt or\n\
-     errored serve, counters that do not reconcile, a restart that\n\
-     misses recovery evidence, or a post-kill hit rate under 0.8x the\n\
-     pre-kill steady state. DIR is recreated empty; the default is a\n\
-     temp directory removed after the run.";
-
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("oic bench restartload: {msg}\n\n{USAGE}");
-    2
-}
-
-/// Entry point for `oic bench restartload`. Returns the process exit
-/// code.
-pub fn cli_main(args: &[String]) -> u8 {
-    let mut config = RestartConfig::default();
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(a) => a,
-            Err(e) => return usage_error(&e),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "json" => json = true,
-                "requests" => match flag_u64(&mut scanner, "--requests") {
-                    Ok(n) => config.requests = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "sources" => match flag_u64(&mut scanner, "--sources") {
-                    Ok(n) => config.sources = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "seed" => match flag_u64(&mut scanner, "--seed") {
-                    Ok(n) => config.seed = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "kills" => match flag_u64(&mut scanner, "--kills") {
-                    Ok(n) => config.kills = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "cache-bytes" => match flag_u64(&mut scanner, "--cache-bytes") {
-                    Ok(n) => config.cache_bytes = n as usize,
-                    Err(e) => return usage_error(&e),
-                },
-                "disk-bytes" => match flag_u64(&mut scanner, "--disk-bytes") {
-                    Ok(n) => config.disk_bytes = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "zipf-s" => {
-                    let v = scanner.value_for("--zipf-s").unwrap_or_default();
-                    match v.parse::<f64>() {
-                        Ok(s) if s.is_finite() && s >= 0.0 => config.zipf_s = s,
-                        _ => {
-                            return usage_error(&format!(
-                                "`--zipf-s` needs a non-negative number, got `{v}`"
-                            ))
-                        }
-                    }
-                }
-                "cache-dir" => match scanner.value_for("--cache-dir") {
-                    Ok(dir) if !dir.is_empty() => config.cache_dir = Some(dir),
-                    _ => return usage_error("`--cache-dir` needs a directory path"),
-                },
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) if !path.is_empty() => out = Some(path),
-                    _ => return usage_error("`--out` needs a file path"),
-                },
-                _ => return usage_error(&format!("unknown flag `--{name}`")),
-            },
-            Arg::Flag {
-                name,
-                value: Some(value),
-            } => return usage_error(&format!("unknown flag `--{name}={value}`")),
-            Arg::Positional(p) => {
-                return usage_error(&format!("unexpected positional argument `{p}`"))
-            }
-        }
-    }
-
-    let report = match run_restartload(&config) {
-        Ok(report) => report,
-        Err(e) => return usage_error(&e),
-    };
-    let doc = report.to_json();
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("oic bench restartload: cannot write {path}: {e}");
-            return 1;
-        }
-    }
-    if json {
-        println!("{doc}");
-    } else {
-        println!(
-            "restartload: {} requests over {} sources, {} unclean kills (seed {})",
-            report.config.requests, report.config.sources, report.config.kills, report.config.seed,
-        );
-        for s in &report.segments {
-            println!(
-                "  segment {}: {} requests, {} hit / {} disk / {} miss / {} err, \
-                 rate {:.4}{}{}",
-                s.index,
-                s.requests,
-                s.hits,
-                s.disk_hits,
-                s.misses,
-                s.errors,
-                s.hit_rate,
-                if s.index > 0 {
-                    format!(
-                        ", recovered {} entries (torn tail: {})",
-                        s.entries_recovered, s.recovered_torn_tail
-                    )
-                } else {
-                    String::new()
-                },
-                if s.killed { " [killed]" } else { "" },
-            );
-        }
-        println!(
-            "  pre-kill rate {:.4}; warm min {:.4} (floor {:.4}); \
-             corrupt {}; reconciled {}; gate: {}",
-            report.prekill_rate,
-            report.warm_rate_min,
-            report.warm_floor,
-            report.corrupt_total,
-            report.reconciled,
-            if report.ok { "ok" } else { "FAILED" },
-        );
-    }
-    if report.ok {
-        0
-    } else {
-        eprintln!("oic bench restartload: gate failed (see report)");
-        1
-    }
-}
-
-/// Parses the positive-integer value of `flag`.
-fn flag_u64(scanner: &mut ArgScanner, flag: &str) -> Result<u64, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("`{flag}` needs a positive integer, got `{v}`")),
-    }
+    segment
 }
 
 #[cfg(test)]
@@ -602,20 +391,24 @@ mod tests {
     fn replay_with_kills_meets_the_gate() {
         let report = run_restartload(&small()).expect("harness runs");
         assert_eq!(report.segments.len(), 3);
-        assert_eq!(report.corrupt_total, 0, "no corrupt serves");
-        assert_eq!(report.error_total, 0, "no errors");
-        assert!(report.reconciled, "counters reconcile");
-        assert!(report.recovered, "every restart recovered the torn tail");
+        assert_eq!(report.total(|t| t.corrupt), 0, "no corrupt serves");
+        assert_eq!(report.total(|t| t.errors), 0, "no errors");
+        assert!(report.reconciled(), "counters reconcile");
+        assert!(report.recovered(), "every restart recovered the torn tail");
         assert!(
-            report.warm_rate_min >= report.warm_floor,
+            report.warm_rate_min() >= 0.8 * report.prekill_rate(),
             "warm rate {} under floor {}",
-            report.warm_rate_min,
-            report.warm_floor
+            report.warm_rate_min(),
+            0.8 * report.prekill_rate()
         );
-        assert!(report.ok);
+        assert!(report.ok());
         // Warm segments really did draw on the disk tier.
         assert!(
-            report.segments.iter().skip(1).any(|s| s.disk_hits > 0),
+            report
+                .segments
+                .iter()
+                .skip(1)
+                .any(|s| s.tally.disk_hits > 0),
             "restarts must serve from disk"
         );
         for s in report.segments.iter().skip(1) {
@@ -686,7 +479,14 @@ mod tests {
         let shape = |r: &RestartReport| {
             r.segments
                 .iter()
-                .map(|s| (s.hits, s.disk_hits, s.misses, s.errors))
+                .map(|s| {
+                    (
+                        s.tally.hits,
+                        s.tally.disk_hits,
+                        s.tally.misses,
+                        s.tally.errors,
+                    )
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(shape(&a), shape(&b));
@@ -706,7 +506,7 @@ mod tests {
     fn cli_rejects_bad_flags() {
         let run = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            cli_main(&args)
+            PRESET.main(&args)
         };
         assert_eq!(run(&["--wat"]), 2);
         assert_eq!(run(&["--requests", "0"]), 2);

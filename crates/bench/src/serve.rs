@@ -402,9 +402,13 @@ impl Server {
         if let Some(disk) = &self.disk {
             let tx = disk.tx.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(tx) = tx.as_ref() {
+                // Count the persist before handing it over: the persister
+                // may write it and decrement before `send` returns.
+                let now = disk.pending.fetch_add(1, Ordering::SeqCst) + 1;
                 if tx.send((key, artifact)).is_ok() {
-                    let now = disk.pending.fetch_add(1, Ordering::SeqCst) + 1;
                     disk.peak.fetch_max(now, Ordering::SeqCst);
+                } else {
+                    disk.pending.fetch_sub(1, Ordering::SeqCst);
                 }
             }
         }
@@ -1954,7 +1958,7 @@ pub fn cli_main(args: &[String]) -> u8 {
 }
 
 /// Parses the positive-integer value of `flag`.
-fn flag_u64(scanner: &mut ArgScanner, flag: &str) -> Result<u64, String> {
+pub(crate) fn flag_u64(scanner: &mut ArgScanner, flag: &str) -> Result<u64, String> {
     let v = scanner.value_for(flag).unwrap_or_default();
     match v.parse::<u64>() {
         Ok(n) if n > 0 => Ok(n),

@@ -1,14 +1,15 @@
 //! `oic bench tenantload` — the multi-tenant metering gate.
 //!
-//! The harness submits a seeded, Zipf-skewed burst of thousands of small
-//! programs across hundreds of tenants to a [`crate::sched::Scheduler`]
-//! and drives it with a pool of workers. A configurable head of the Zipf
-//! distribution is *rigged*: those tenants run a large program under a
-//! deliberately tight instruction quota, so every one of their jobs must
-//! die with a typed quota kill. The report is a schema-stable
-//! `oi.tenantload.v1` document embedding the scheduler's own
-//! `oi.tenant.v1` metering report, and it carries its own verdict (`ok`)
-//! so ci.sh can gate on it:
+//! A preset over [`crate::scenario`] (its Zipf sampler, flag table and
+//! emitter) whose drive is its own: a seeded, Zipf-skewed burst of
+//! thousands of small programs across hundreds of tenants is submitted
+//! to a [`crate::sched::Scheduler`] and driven by a pool of workers. A
+//! configurable head of the Zipf distribution is *rigged*: those tenants
+//! run a large program under a deliberately tight instruction quota, so
+//! every one of their jobs must die with a typed quota kill. The report
+//! is a schema-stable `oi.tenantload.v1` document embedding the
+//! scheduler's own `oi.tenant.v1` metering report, and it carries its
+//! own verdict (`ok`) so ci.sh can gate on it:
 //!
 //! - **no panics** and no runtime errors anywhere in the run,
 //! - **no cross-tenant kills**: every quota kill lands on a rigged
@@ -23,23 +24,20 @@
 //!   completion lands within `own_jobs * slice_bound * tenants + slack`
 //!   global slice ticks — a loose upper bound for heavy tenants but a
 //!   tight one for light tenants, which is exactly where hog-induced
-//!   starvation would show.
+//!   starvation would show. A failure names each starved tenant with
+//!   its `first_done_tick` and bound.
 //!
 //! Everything is deterministic modulo worker interleaving: the tenant
 //! draw is seeded, programs are lowered once and shared via
 //! [`ProgramRef`], and the fairness clock is the scheduler's global
 //! slice counter, not wall time.
 
-use crate::sched::{JobSpec, ProgramRef, SchedConfig, Scheduler, TenantQuota, TenantSummary};
+use crate::scenario::{self, Flag, GateReport, Preset, ZipfSampler};
+use crate::sched::{JobSpec, ProgramRef, SchedConfig, TenantQuota, TenantSummary};
 use oi_ir::Program;
-use oi_support::cli::{Arg, ArgScanner};
 use oi_support::rng::XorShift64;
 use oi_support::Json;
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Instant;
-
-use crate::loadgen::ZipfSampler;
 
 /// Tenantload knobs (flags of `oic bench tenantload`).
 #[derive(Clone, Debug)]
@@ -105,7 +103,38 @@ fn lowered(iters: u64) -> Arc<Program> {
     Arc::new(oi_ir::lower::compile(&loop_source(iters)).expect("template compiles"))
 }
 
-/// Per-tenant gate outcome embedded in the report.
+/// The `oic bench tenantload` command.
+pub(crate) const PRESET: Preset<TenantloadConfig, TenantloadReport> = Preset {
+    name: "tenantload",
+    about: "Submits a Zipf-skewed burst of small programs across T tenants
+(H rigged quota-busters) to the fair scheduler and emits
+oi.tenantload.v1. Exits 1 when the gate fails: a panic, a runtime
+error, a rejection or shed, a cross-tenant kill, fuel that does not
+reconcile, throughput under J jobs/s, or a starved tenant.",
+    summary: "requests tenants hogs seed completed quota_kills panics \
+              rejected cross_tenant_kills reconciled starved_tenants \
+              max_starvation elapsed_ms throughput min_throughput",
+    flags: &[
+        Flag::Positive("requests", "N", |c, n| c.requests = n),
+        Flag::Positive("tenants", "T", |c, n| c.tenants = n),
+        Flag::Positive("hogs", "H", |c, n| c.hogs = n),
+        Flag::Positive("workers", "W", |c, n| c.workers = n as usize),
+        Flag::Positive("fuel-slice", "F", |c, n| c.fuel_slice = n),
+        Flag::Count("seed", "S", |c, n| c.seed = n),
+        Flag::Number("zipf-s", "X", |c, s| c.zipf_s = s),
+        Flag::Number("min-throughput", "J", |c, t| c.min_throughput = t),
+    ],
+    check: |c| {
+        if c.hogs < c.tenants {
+            Ok(())
+        } else {
+            Err("`--hogs` must be below `--tenants`".to_string())
+        }
+    },
+    run: |c| Ok(run_tenantload(c)),
+};
+
+/// Per-tenant gate outcome (kept out of the JSON document).
 #[derive(Clone, Debug)]
 struct TenantVerdict {
     summary: TenantSummary,
@@ -135,6 +164,24 @@ impl TenantVerdict {
             None => self.summary.submitted > 0,
         }
     }
+
+    /// `first_done_tick / bound` (`None` before a first completion).
+    fn starvation(&self) -> Option<f64> {
+        let tick = self.summary.first_done_tick?;
+        Some(tick as f64 / self.first_done_bound as f64)
+    }
+
+    /// `tenant first_done_tick T of bound B`, for diagnostics.
+    fn describe(&self) -> String {
+        let tick = self
+            .summary
+            .first_done_tick
+            .map_or("none".to_string(), |t| t.to_string());
+        format!(
+            "{} first_done_tick {tick} of bound {}",
+            self.summary.tenant, self.first_done_bound
+        )
+    }
 }
 
 /// The gate's outcome — everything `oi.tenantload.v1` carries.
@@ -142,41 +189,45 @@ impl TenantVerdict {
 pub struct TenantloadReport {
     /// The configuration driven.
     pub config: TenantloadConfig,
-    /// Jobs accepted by the scheduler (must equal `requests`).
-    pub submitted: u64,
     /// Typed admission rejections (gate requires zero).
     pub rejected: u64,
-    /// Jobs that ran to completion.
-    pub completed: u64,
-    /// Typed quota kills, all of which must land on rigged tenants.
-    pub quota_kills: u64,
-    /// Quota kills that landed on a well-behaved tenant (gate: zero).
-    pub cross_tenant_kills: u64,
-    /// Contained panics anywhere in the run (gate: zero).
-    pub panics: u64,
-    /// Guest runtime errors (gate: zero — templates are well-formed).
-    pub runtime_errors: u64,
-    /// Jobs shed by a drain (gate: zero — nothing drains here).
-    pub shed: u64,
-    /// Whether every tenant's fuel tally matches its VM counters.
-    pub reconciled: bool,
-    /// Tenants whose first completion exceeded the starvation bound.
-    pub starved_tenants: u64,
-    /// Worst observed `first_done_tick / bound` ratio across tenants.
-    pub max_starvation: f64,
+    /// Jobs drawn onto rigged tenants (each must end in a quota kill).
+    pub hog_jobs: u64,
     /// Execution wall time (submission excluded), milliseconds.
     pub elapsed_ms: u64,
     /// Finished jobs (completed + killed) per wall second.
     pub throughput: f64,
     /// The scheduler's embedded `oi.tenant.v1` report.
     pub tenant_report: Json,
-    /// The gate verdict (see module docs).
-    pub ok: bool,
+    verdicts: Vec<TenantVerdict>,
 }
 
 impl TenantloadReport {
+    /// `f` summed over every tenant's metering summary.
+    pub fn sum(&self, f: impl Fn(&TenantSummary) -> u64) -> u64 {
+        self.verdicts.iter().map(|v| f(&v.summary)).sum()
+    }
+
+    /// Quota kills that landed on a well-behaved tenant (gate: zero).
+    pub fn cross_tenant_kills(&self) -> u64 {
+        let calm = self.verdicts.iter().filter(|v| !v.hog);
+        calm.map(|v| v.summary.quota_kills.total()).sum()
+    }
+
+    /// Whether every tenant's fuel tally matches its VM counters.
+    pub fn reconciled(&self) -> bool {
+        self.verdicts.iter().all(|v| v.summary.reconciled())
+    }
+
+    /// Tenants whose first completion exceeded the starvation bound.
+    fn starved(&self) -> impl Iterator<Item = &TenantVerdict> {
+        self.verdicts.iter().filter(|v| v.starved())
+    }
+}
+
+impl GateReport for TenantloadReport {
     /// The report as a schema-stable `oi.tenantload.v1` document.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         Json::obj(vec![
             ("schema", "oi.tenantload.v1".into()),
             ("requests", self.config.requests.into()),
@@ -187,22 +238,70 @@ impl TenantloadReport {
             ("seed", self.config.seed.into()),
             ("zipf_s", self.config.zipf_s.into()),
             ("min_throughput", self.config.min_throughput.into()),
-            ("submitted", self.submitted.into()),
+            ("submitted", self.sum(|s| s.submitted).into()),
             ("rejected", self.rejected.into()),
-            ("completed", self.completed.into()),
-            ("quota_kills", self.quota_kills.into()),
-            ("cross_tenant_kills", self.cross_tenant_kills.into()),
-            ("panics", self.panics.into()),
-            ("runtime_errors", self.runtime_errors.into()),
-            ("shed", self.shed.into()),
-            ("reconciled", self.reconciled.into()),
-            ("starved_tenants", self.starved_tenants.into()),
-            ("max_starvation", self.max_starvation.into()),
+            ("completed", self.sum(|s| s.completed).into()),
+            ("quota_kills", self.sum(|s| s.quota_kills.total()).into()),
+            ("cross_tenant_kills", self.cross_tenant_kills().into()),
+            ("panics", self.sum(|s| s.panicked).into()),
+            ("runtime_errors", self.sum(|s| s.runtime_errors).into()),
+            ("shed", self.sum(|s| s.shed).into()),
+            ("reconciled", self.reconciled().into()),
+            ("starved_tenants", (self.starved().count() as u64).into()),
+            (
+                "max_starvation",
+                self.verdicts
+                    .iter()
+                    .filter_map(TenantVerdict::starvation)
+                    .fold(0.0, f64::max)
+                    .into(),
+            ),
             ("elapsed_ms", self.elapsed_ms.into()),
             ("throughput", self.throughput.into()),
             ("tenant_report", self.tenant_report.clone()),
-            ("ok", self.ok.into()),
+            ("ok", self.ok().into()),
         ])
+    }
+
+    fn failures(&self) -> Vec<String> {
+        let (c, submitted) = (&self.config, self.sum(|s| s.submitted));
+        let mut fails = Vec::new();
+        if submitted != c.requests {
+            fails.push(format!("{submitted} of {} jobs submitted", c.requests));
+        }
+        let mut count = |n: u64, what: &str| {
+            if n > 0 {
+                fails.push(format!("{n} {what}"));
+            }
+        };
+        count(self.rejected, "rejected jobs");
+        count(self.sum(|s| s.panicked), "panics");
+        count(self.sum(|s| s.runtime_errors), "runtime errors");
+        count(self.sum(|s| s.shed), "shed jobs");
+        count(self.cross_tenant_kills(), "cross-tenant kills");
+        for v in self.verdicts.iter().filter(|v| !v.clean()) {
+            fails.push(format!("tenant {} did not end clean", v.summary.tenant));
+        }
+        if !self.reconciled() {
+            fails.push("fuel does not reconcile with the VM counters".to_string());
+        }
+        for v in self.starved() {
+            fails.push(format!("starved tenant {}", v.describe()));
+        }
+        let quota_kills = self.sum(|s| s.quota_kills.total());
+        if self.hog_jobs != quota_kills {
+            fails.push(format!(
+                "{} rigged jobs but {quota_kills} quota kills",
+                self.hog_jobs
+            ));
+        }
+        if self.throughput < c.min_throughput {
+            fails.push(format!(
+                "throughput {:.0} jobs/s under the floor {:.0}",
+                self.throughput, c.min_throughput
+            ));
+        }
+        fails
     }
 }
 
@@ -214,18 +313,6 @@ pub fn run_tenantload(config: &TenantloadConfig) -> TenantloadReport {
     let sampler = ZipfSampler::new(config.tenants.max(1), config.zipf_s);
     let mut rng = XorShift64::new(config.seed);
 
-    // Completion delivery is best-effort and everything the gate needs
-    // is in the scheduler's own accounting; drop the receiver.
-    let (tx, rx) = mpsc::channel();
-    drop(rx);
-    let sched = Scheduler::new(
-        SchedConfig {
-            fuel_slice: config.fuel_slice.max(1),
-            max_queue: config.requests.max(1) as usize,
-        },
-        tx,
-    );
-
     let normal_quota = TenantQuota {
         max_concurrent: config.requests.max(1) as usize,
         ..TenantQuota::default()
@@ -234,16 +321,14 @@ pub fn run_tenantload(config: &TenantloadConfig) -> TenantloadReport {
         max_instructions: HOG_INSTRUCTION_QUOTA,
         ..normal_quota.clone()
     };
-
-    let mut rejected = 0u64;
     let mut hog_jobs = 0u64;
-    for i in 0..config.requests {
+    let jobs = (0..config.requests).map(|i| {
         let rank = sampler.sample(&mut rng);
         let hog = rank < config.hogs;
-        let spec = JobSpec {
+        hog_jobs += u64::from(hog);
+        JobSpec {
             tenant: format!("t{rank:05}"),
             program: ProgramRef::Bare(if hog {
-                hog_jobs += 1;
                 Arc::clone(&hog_program)
             } else {
                 Arc::clone(&templates[(i as usize) % TEMPLATES])
@@ -254,23 +339,13 @@ pub fn run_tenantload(config: &TenantloadConfig) -> TenantloadReport {
                 normal_quota.clone()
             },
             fault: None,
-        };
-        if sched.submit(spec).is_err() {
-            rejected += 1;
-        }
-    }
-
-    // Everything is queued before the first slice runs, so the global
-    // slice counter is a clean fairness clock: every tenant is in the
-    // rotation from tick zero.
-    sched.close();
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..config.workers.max(1) {
-            scope.spawn(|| sched.worker_loop());
         }
     });
-    let elapsed = started.elapsed();
+    let sched_config = SchedConfig {
+        fuel_slice: config.fuel_slice.max(1),
+        max_queue: config.requests.max(1) as usize,
+    };
+    let (sched, rejected, elapsed) = scenario::drain(sched_config, jobs, config.workers);
 
     // Upper bound on the fuel slices one template job can need: the
     // largest template, a generous instructions-per-iteration allowance,
@@ -297,202 +372,20 @@ pub fn run_tenantload(config: &TenantloadConfig) -> TenantloadReport {
         })
         .collect();
 
-    let sum =
-        |f: &dyn Fn(&TenantSummary) -> u64| -> u64 { verdicts.iter().map(|v| f(&v.summary)).sum() };
-    let submitted = sum(&|s| s.submitted);
-    let completed = sum(&|s| s.completed);
-    let quota_kills = sum(&|s| s.quota_kills.total());
-    let panics = sum(&|s| s.panicked);
-    let runtime_errors = sum(&|s| s.runtime_errors);
-    let shed = sum(&|s| s.shed);
-    let cross_tenant_kills = verdicts
+    let finished: u64 = verdicts
         .iter()
-        .filter(|v| !v.hog)
-        .map(|v| v.summary.quota_kills.total())
-        .sum::<u64>();
-    let reconciled = verdicts.iter().all(|v| v.summary.reconciled());
-    let starved_tenants = verdicts.iter().filter(|v| v.starved()).count() as u64;
-    let max_starvation = verdicts
-        .iter()
-        .filter_map(|v| {
-            v.summary
-                .first_done_tick
-                .map(|t| t as f64 / v.first_done_bound as f64)
-        })
-        .fold(0.0, f64::max);
-    let finished = completed + quota_kills;
+        .map(|v| v.summary.completed + v.summary.quota_kills.total())
+        .sum();
     let secs = elapsed.as_secs_f64().max(1e-9);
-    let throughput = finished as f64 / secs;
-
-    let clean = verdicts.iter().all(TenantVerdict::clean);
-    let ok = rejected == 0
-        && submitted == config.requests
-        && panics == 0
-        && runtime_errors == 0
-        && shed == 0
-        && cross_tenant_kills == 0
-        && clean
-        && reconciled
-        && starved_tenants == 0
-        && hog_jobs == quota_kills
-        && throughput >= config.min_throughput;
 
     TenantloadReport {
         config: config.clone(),
-        submitted,
         rejected,
-        completed,
-        quota_kills,
-        cross_tenant_kills,
-        panics,
-        runtime_errors,
-        shed,
-        reconciled,
-        starved_tenants,
-        max_starvation,
+        hog_jobs,
         elapsed_ms: elapsed.as_millis().min(u128::from(u64::MAX)) as u64,
-        throughput,
+        throughput: finished as f64 / secs,
         tenant_report: sched.report_json(),
-        ok,
-    }
-}
-
-/// Runs `oic bench tenantload` on pre-split arguments and returns the
-/// process exit code.
-pub fn cli_main(args: &[String]) -> u8 {
-    let mut config = TenantloadConfig::default();
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(a) => a,
-            Err(e) => return usage_error(&e),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "json" => json = true,
-                "requests" => match flag_u64(&mut scanner, "--requests") {
-                    Ok(n) => config.requests = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "tenants" => match flag_u64(&mut scanner, "--tenants") {
-                    Ok(n) => config.tenants = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "hogs" => match flag_u64(&mut scanner, "--hogs") {
-                    Ok(n) => config.hogs = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "workers" => match flag_u64(&mut scanner, "--workers") {
-                    Ok(n) => config.workers = n as usize,
-                    Err(e) => return usage_error(&e),
-                },
-                "fuel-slice" => match flag_u64(&mut scanner, "--fuel-slice") {
-                    Ok(n) => config.fuel_slice = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "seed" => match flag_u64(&mut scanner, "--seed") {
-                    Ok(n) => config.seed = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "zipf-s" => {
-                    let v = scanner.value_for("--zipf-s").unwrap_or_default();
-                    match v.parse::<f64>() {
-                        Ok(s) if s.is_finite() && s >= 0.0 => config.zipf_s = s,
-                        _ => {
-                            return usage_error(&format!(
-                                "`--zipf-s` needs a non-negative number, got `{v}`"
-                            ))
-                        }
-                    }
-                }
-                "min-throughput" => {
-                    let v = scanner.value_for("--min-throughput").unwrap_or_default();
-                    match v.parse::<f64>() {
-                        Ok(t) if t.is_finite() && t >= 0.0 => config.min_throughput = t,
-                        _ => {
-                            return usage_error(&format!(
-                                "`--min-throughput` needs a non-negative number, got `{v}`"
-                            ))
-                        }
-                    }
-                }
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) if !path.is_empty() => out = Some(path),
-                    _ => return usage_error("`--out` needs a file path"),
-                },
-                _ => return usage_error(&format!("unknown flag `--{name}`")),
-            },
-            Arg::Flag {
-                name,
-                value: Some(value),
-            } => return usage_error(&format!("unknown flag `--{name}={value}`")),
-            Arg::Positional(p) => {
-                return usage_error(&format!("unexpected positional argument `{p}`"))
-            }
-        }
-    }
-    if config.hogs >= config.tenants {
-        return usage_error("`--hogs` must be below `--tenants`");
-    }
-
-    let report = run_tenantload(&config);
-    let doc = report.to_json();
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("oic bench tenantload: cannot write {path}: {e}");
-            return 1;
-        }
-    }
-    if json {
-        println!("{doc}");
-    } else {
-        println!(
-            "tenantload: {} jobs over {} tenants ({} rigged, seed {}, zipf {}): \
-             {} completed / {} quota-killed / {} panics / {} rejected",
-            report.config.requests,
-            report.config.tenants,
-            report.config.hogs,
-            report.config.seed,
-            report.config.zipf_s,
-            report.completed,
-            report.quota_kills,
-            report.panics,
-            report.rejected,
-        );
-        println!(
-            "  {} ms, {:.0} jobs/s (floor {:.0}); reconciled: {}; \
-             cross-tenant kills: {}; starved tenants: {} (worst {:.3} of bound)",
-            report.elapsed_ms,
-            report.throughput,
-            report.config.min_throughput,
-            report.reconciled,
-            report.cross_tenant_kills,
-            report.starved_tenants,
-            report.max_starvation,
-        );
-        println!("  gate: {}", if report.ok { "ok" } else { "FAILED" });
-    }
-    if report.ok {
-        0
-    } else {
-        eprintln!("oic bench tenantload: gate failed (see report)");
-        1
-    }
-}
-
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}");
-    2
-}
-
-/// Parses the positive-integer value of `flag`.
-fn flag_u64(scanner: &mut ArgScanner, flag: &str) -> Result<u64, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("`{flag}` needs a positive integer, got `{v}`")),
+        verdicts,
     }
 }
 
@@ -514,18 +407,21 @@ mod tests {
     #[test]
     fn gate_passes_on_a_small_skewed_burst() {
         let report = run_tenantload(&small());
-        assert!(report.ok, "gate failed: {}", report.to_json());
-        assert_eq!(report.submitted, 300);
+        assert!(report.ok(), "gate failed: {}", report.to_json());
+        assert_eq!(report.sum(|s| s.submitted), 300);
         assert_eq!(report.rejected, 0);
-        assert_eq!(report.panics, 0);
-        assert_eq!(report.cross_tenant_kills, 0);
-        assert_eq!(report.starved_tenants, 0);
+        assert_eq!(report.sum(|s| s.panicked), 0);
+        assert_eq!(report.cross_tenant_kills(), 0);
+        assert_eq!(report.starved().count(), 0);
         assert!(
-            report.quota_kills > 0,
+            report.sum(|s| s.quota_kills.total()) > 0,
             "the rigged Zipf head must actually draw jobs"
         );
-        assert_eq!(report.completed + report.quota_kills, 300);
-        assert!(report.reconciled);
+        assert_eq!(
+            report.sum(|s| s.completed) + report.sum(|s| s.quota_kills.total()),
+            300
+        );
+        assert!(report.reconciled());
     }
 
     #[test]
@@ -555,15 +451,66 @@ mod tests {
                 .and_then(Json::as_bool),
             Some(true)
         );
-        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(report.ok));
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(report.ok()));
+    }
+
+    /// A starved tenant fails the gate by name, with its first
+    /// completion tick and its bound, in the failure list (which the
+    /// stderr message and the text summary both print).
+    #[test]
+    fn a_starved_tenant_is_named_with_its_tick_and_bound() {
+        let verdict = |tenant: &str, tick: Option<u64>| TenantVerdict {
+            summary: TenantSummary {
+                tenant: tenant.into(),
+                submitted: 2,
+                completed: 2,
+                first_done_tick: tick,
+                ..TenantSummary::default()
+            },
+            hog: false,
+            first_done_bound: 800,
+        };
+        let report = TenantloadReport {
+            config: TenantloadConfig {
+                requests: 6,
+                min_throughput: 0.0,
+                ..TenantloadConfig::default()
+            },
+            rejected: 0,
+            hog_jobs: 0,
+            elapsed_ms: 1,
+            throughput: 1.0,
+            tenant_report: Json::Null,
+            verdicts: vec![
+                verdict("t00001", Some(40)),
+                verdict("t00002", Some(840)),
+                verdict("t00003", None),
+            ],
+        };
+        assert_eq!(
+            report.failures(),
+            [
+                "starved tenant t00002 first_done_tick 840 of bound 800",
+                "starved tenant t00003 first_done_tick none of bound 800",
+            ]
+        );
+        let doc = report.to_json();
+        assert_eq!(doc.get("starved_tenants").and_then(Json::as_i64), Some(2));
+        assert_eq!(
+            doc.get("max_starvation").and_then(Json::as_f64),
+            Some(840.0 / 800.0)
+        );
     }
 
     #[test]
     fn identical_seeds_draw_identical_tenant_mixes() {
         let a = run_tenantload(&small());
         let b = run_tenantload(&small());
-        assert_eq!(a.submitted, b.submitted);
-        assert_eq!(a.quota_kills, b.quota_kills);
-        assert_eq!(a.completed, b.completed);
+        assert_eq!(a.sum(|s| s.submitted), b.sum(|s| s.submitted));
+        assert_eq!(
+            a.sum(|s| s.quota_kills.total()),
+            b.sum(|s| s.quota_kills.total())
+        );
+        assert_eq!(a.sum(|s| s.completed), b.sum(|s| s.completed));
     }
 }

@@ -1384,3 +1384,200 @@ fn brownoutload_json_document_is_schema_stable() {
     let passed = doc.get("gate").and_then(|g| g.get("passed"));
     assert_eq!(passed, Some(&Json::Bool(out.status.code() == Some(0))));
 }
+
+/// One table over the four `oic bench` gates: every flag goes through
+/// the same parser, so a 0 seed, a 0 retry count, an empty path and an
+/// unknown flag are treated alike everywhere. Usage errors exit 2 with
+/// the command's usage; runtime failures (an uncreatable `--cache-dir`)
+/// exit 1; a run that starts reports its gate with 0 or 1.
+#[test]
+fn bench_gates_share_one_flag_parser() {
+    let file = write_temp("bench_flag_table_file", "not a directory");
+    let under_file = file.join("store");
+    let under_file = under_file.to_str().unwrap();
+    // (arguments after `oic bench`, expected exit code or None for "0 or
+    // 1", text stderr must contain)
+    let cases: &[(&[&str], Option<i32>, &str)] = &[
+        (&["loadgen", "--wat"], Some(2), "usage: oic bench loadgen"),
+        (
+            &["tenantload", "--wat"],
+            Some(2),
+            "usage: oic bench tenantload",
+        ),
+        (
+            &["restartload", "--wat"],
+            Some(2),
+            "usage: oic bench restartload",
+        ),
+        (
+            &["brownoutload", "--wat"],
+            Some(2),
+            "usage: oic bench brownoutload",
+        ),
+        (
+            &["loadgen", "stray"],
+            Some(2),
+            "unexpected positional argument",
+        ),
+        (
+            &["brownoutload", "--burst=3"],
+            Some(2),
+            "unknown flag `--burst=3`",
+        ),
+        (
+            &["loadgen", "--out", ""],
+            Some(2),
+            "`--out` needs a file path",
+        ),
+        (
+            &["tenantload", "--out", ""],
+            Some(2),
+            "`--out` needs a file path",
+        ),
+        (
+            &["restartload", "--out", ""],
+            Some(2),
+            "`--out` needs a file path",
+        ),
+        (
+            &["brownoutload", "--out", ""],
+            Some(2),
+            "`--out` needs a file path",
+        ),
+        (
+            &["restartload", "--cache-dir", ""],
+            Some(2),
+            "`--cache-dir` needs a path",
+        ),
+        (
+            &["loadgen", "--requests", "0"],
+            Some(2),
+            "needs a positive integer",
+        ),
+        (
+            &["brownoutload", "--burst", "0"],
+            Some(2),
+            "needs a positive integer",
+        ),
+        (
+            &["loadgen", "--zipf-s", "-1"],
+            Some(2),
+            "needs a non-negative number",
+        ),
+        (
+            &["tenantload", "--min-throughput", "x"],
+            Some(2),
+            "needs a non-negative number",
+        ),
+        (
+            &["tenantload", "--hogs", "4", "--tenants", "4"],
+            Some(2),
+            "must be below",
+        ),
+        (
+            &["restartload", "--requests", "4", "--kills", "3"],
+            Some(2),
+            "cannot cover",
+        ),
+        (
+            &[
+                "restartload",
+                "--requests",
+                "20",
+                "--sources",
+                "2",
+                "--cache-dir",
+                under_file,
+            ],
+            Some(1),
+            "cannot create",
+        ),
+        (
+            &[
+                "loadgen",
+                "--requests",
+                "20",
+                "--sources",
+                "2",
+                "--seed",
+                "0",
+            ],
+            Some(0),
+            "",
+        ),
+        (
+            &[
+                "loadgen",
+                "--requests",
+                "20",
+                "--sources",
+                "2",
+                "--retries",
+                "0",
+            ],
+            Some(0),
+            "",
+        ),
+        (
+            &[
+                "restartload",
+                "--requests",
+                "20",
+                "--sources",
+                "2",
+                "--kills",
+                "1",
+                "--seed",
+                "0",
+            ],
+            Some(0),
+            "",
+        ),
+        (
+            &[
+                "tenantload",
+                "--requests",
+                "40",
+                "--tenants",
+                "4",
+                "--hogs",
+                "1",
+                "--min-throughput",
+                "1",
+                "--seed",
+                "0",
+            ],
+            None,
+            "",
+        ),
+        (
+            &[
+                "brownoutload",
+                "--burst",
+                "2",
+                "--sources",
+                "2",
+                "--seed",
+                "0",
+            ],
+            None,
+            "",
+        ),
+    ];
+    for (args, want, needle) in cases {
+        let out = oic().arg("bench").args(*args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        match want {
+            Some(code) => assert_eq!(out.status.code(), Some(*code), "{args:?}: {stderr}"),
+            None => assert!(
+                matches!(out.status.code(), Some(0 | 1)),
+                "{args:?}: {stderr}"
+            ),
+        }
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        if out.status.code() != Some(2) {
+            assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_file(&file);
+}
